@@ -3,23 +3,24 @@
 //
 // It runs the same measurements as the root bench suite's
 // BenchmarkReplayVsLive and BenchmarkSimulatorThroughput, plus the
-// full-sweep sampled-vs-exact comparison, in-process (no `go test
-// -bench` parsing), and emits them as a small JSON document:
+// full-sweep sampled-vs-exact comparison and the simulator's
+// steady-state allocation rate, in-process (no `go test -bench`
+// parsing), and emits them as a small JSON document:
 //
-//	hpbench -out BENCH_8.json              # write a new baseline
-//	hpbench -check BENCH_8.json            # re-measure, gate ratios at 10%
-//	hpbench -check BENCH_8.json -raw raw.json  # also dump per-iteration times
+//	hpbench -out BENCH_12.json               # write a new baseline
+//	hpbench -check BENCH_12.json             # re-measure and gate
+//	hpbench -check BENCH_12.json -raw raw.json  # also dump per-iteration times
 //
-// Time-based metrics (ns/instr, instr/s, MB) are machine-dependent and
-// informational: the committed file records the reference machine and
-// -check reports them without judging. The *ratio* metrics —
-// replay_speedup (batch replay vs live interpretation, same window) and
-// sample_speedup (interval-sampled replay vs exact live on the default
-// full-sweep window) — divide two wall times from the same process on
-// the same machine, so they transfer across hosts; -check fails when a
-// measured ratio drops more than -tolerance below the committed value,
-// or below its hard floor (2x for replay, 5x for sampling). See
-// EXPERIMENTS.md ("The benchmark baseline") for the schema.
+// Wall-time metrics (ns/instr, instr/s, MB) and the speedup ratios
+// built from them (replay_speedup, sample_speedup) depend on the host
+// and are informational: the committed file records the reference
+// machine's GOMAXPROCS and CPU count, and -check reports them without
+// judging. The gated metrics are the steady-state heap allocations per
+// simulated instruction of live and replayed FDIP runs, which do not
+// depend on the host; -check fails when one exceeds its hard ceiling
+// (far below one allocation per event) or rises more than -tolerance
+// above the committed value. See EXPERIMENTS.md ("The benchmark
+// baseline") for the schema.
 package main
 
 import (
@@ -33,29 +34,35 @@ import (
 	"time"
 
 	"hprefetch/internal/harness"
+	"hprefetch/internal/sim"
+	"hprefetch/internal/tracefile"
+	"hprefetch/internal/workloads"
 )
 
 // benchSchema identifies the BENCH_*.json format.
 const benchSchema = "hpbench/v1"
 
-// floors are the acceptance minimums for the gated ratios, independent
-// of any committed baseline.
-var floors = map[string]float64{
-	"replay_speedup": 2.0,
-	"sample_speedup": 5.0,
+// ceilings are the hard maximums of the gated metrics, independent of
+// any committed baseline. One allocation per simulated event would read
+// about 0.1 allocations per instruction, one per window refill about
+// 4e-4; both fail.
+var ceilings = map[string]float64{
+	"live_allocs_per_instr":   1e-4,
+	"replay_allocs_per_instr": 1e-4,
 }
 
 // BenchFile is the committed baseline document.
 type BenchFile struct {
 	Schema string `json:"schema"`
-	// GoVersion and NumCPU record the reference environment; they are
-	// not compared.
-	GoVersion string `json:"go_version"`
-	NumCPU    int    `json:"num_cpu"`
+	// GoVersion, GoMaxProcs and NumCPU record the reference
+	// environment; they are not compared.
+	GoVersion  string `json:"go_version"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
 	// Metrics holds every measured value by name.
 	Metrics map[string]float64 `json:"metrics"`
-	// Gated lists the Metrics keys -check compares under the tolerance
-	// (higher is better for all of them).
+	// Gated lists the Metrics keys -check enforces (lower is better for
+	// all of them).
 	Gated []string `json:"gated"`
 }
 
@@ -74,7 +81,7 @@ func main() {
 		out       = flag.String("out", "", "write a new baseline to this path")
 		check     = flag.String("check", "", "measure and gate against the baseline at this path")
 		raw       = flag.String("raw", "", "also write per-iteration raw measurements to this path")
-		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional drop of a gated ratio below the baseline")
+		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional rise of a gated metric above the baseline")
 		iters     = flag.Int("iters", 5, "timed iterations per measurement (best-of)")
 	)
 	flag.Parse()
@@ -95,18 +102,19 @@ func main() {
 	}
 
 	doc := BenchFile{
-		Schema:    benchSchema,
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Metrics:   metrics,
-		Gated:     []string{"replay_speedup", "sample_speedup"},
+		Schema:     benchSchema,
+		GoVersion:  runtime.Version(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Metrics:    metrics,
+		Gated:      []string{"live_allocs_per_instr", "replay_allocs_per_instr"},
 	}
 	for _, name := range doc.Gated {
-		fmt.Printf("%-28s %8.2f (floor %.1fx)\n", name, metrics[name], floors[name])
+		fmt.Printf("%-28s %8.2g (ceiling %g)\n", name, metrics[name], ceilings[name])
 	}
 	names := make([]string, 0, len(metrics))
 	for name := range metrics {
-		if _, gated := floors[name]; !gated {
+		if _, gated := ceilings[name]; !gated {
 			names = append(names, name)
 		}
 	}
@@ -134,22 +142,21 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("baseline %s gates %q but has no such metric", *check, name))
 		}
+		ceiling, ok := ceilings[name]
+		if !ok {
+			fatal(fmt.Errorf("baseline %s gates %q, which this build does not gate (it gates %v)", *check, name, doc.Gated))
+		}
 		got := metrics[name]
-		limit := want * (1 - *tolerance)
-		// The floor is also noise-tolerant: measurement jitter on a busy
-		// host must not fail a build whose true ratio clears the floor.
-		floorLimit := floors[name] * (1 - *tolerance)
-		switch {
-		case got < floorLimit:
-			fmt.Printf("FAIL %s: measured %.2fx below hard floor %.1fx (limit %.2fx)\n",
-				name, got, floors[name], floorLimit)
+		switch limit := want * (1 + *tolerance); {
+		case got > ceiling:
+			fmt.Printf("FAIL %s: measured %.2g above hard ceiling %g\n", name, got, ceiling)
 			failed = true
-		case got < limit:
-			fmt.Printf("FAIL %s: measured %.2fx, baseline %.2fx, limit %.2fx (tolerance %.0f%%)\n",
+		case got > limit && want > 0:
+			fmt.Printf("FAIL %s: measured %.2g, baseline %.2g, limit %.2g (tolerance %.0f%%)\n",
 				name, got, want, limit, *tolerance*100)
 			failed = true
 		default:
-			fmt.Printf("ok   %s: measured %.2fx vs baseline %.2fx (limit %.2fx)\n", name, got, want, limit)
+			fmt.Printf("ok   %s: measured %.2g vs baseline %.2g (ceiling %g)\n", name, got, want, ceiling)
 		}
 	}
 	if failed {
@@ -208,7 +215,7 @@ func measure(iters int) (map[string]float64, []rawRecord, error) {
 
 	// Replay vs live: the BenchmarkReplayVsLive pair — the same
 	// (workload, scheme, window) from the live engine and from a
-	// recorded trace consumed through the batch fast path.
+	// recorded trace replayed from memory.
 	rc := harness.DefaultRunConfig()
 	rc.Workloads = []string{"gin"}
 	rc.WarmInstr = 500_000
@@ -244,6 +251,25 @@ func measure(iters int) (map[string]float64, []rawRecord, error) {
 	metrics["live_ns_per_instr"] = float64(live.BestNS) / float64(pairInstr)
 	metrics["replay_ns_per_instr"] = float64(replay.BestNS) / float64(pairInstr)
 	metrics["replay_speedup"] = float64(live.BestNS) / float64(replay.BestNS)
+
+	// Steady-state allocations of the cycle loop over the same workload,
+	// live and replayed from the same trace.
+	built, err := workloads.Build("gin")
+	if err != nil {
+		return nil, nil, err
+	}
+	loaded, err := tracefile.Load(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	for name, src := range map[string]sim.EventSource{
+		"live_allocs_per_instr":   built.NewEngine(),
+		"replay_allocs_per_instr": loaded.Replay(),
+	} {
+		if metrics[name], err = steadyAllocs(rc.Params, src); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", name, err)
+		}
+	}
 
 	// Simulator throughput: the BenchmarkSimulatorThroughput window —
 	// the full stack (engine, front-end, hierarchy, Hierarchical
@@ -316,6 +342,31 @@ func measure(iters int) (map[string]float64, []rawRecord, error) {
 	metrics["sample_speedup"] = float64(exact.BestNS) / float64(sampled.BestNS)
 
 	return metrics, raws, nil
+}
+
+// steadyAllocs returns the heap allocations per simulated instruction
+// of an FDIP machine over src once warm: allocWarm instructions first,
+// then allocMeasure counted, on one P so no other goroutine allocates
+// meanwhile.
+func steadyAllocs(prm sim.Params, src sim.EventSource) (float64, error) {
+	const allocWarm, allocMeasure = 2_000_000, 1_000_000
+	m, err := sim.New(prm, src, nil)
+	if err != nil {
+		return 0, err
+	}
+	if err := m.Run(allocWarm); err != nil {
+		return 0, err
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	start := m.Stats().Instructions
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = m.Run(allocMeasure)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		return 0, err
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(m.Stats().Instructions-start), nil
 }
 
 func fatal(err error) {

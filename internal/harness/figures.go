@@ -7,6 +7,7 @@ import (
 	"hprefetch/internal/isa"
 	"hprefetch/internal/program"
 	"hprefetch/internal/sim"
+	"hprefetch/internal/tracefile"
 	"hprefetch/internal/workloads"
 	"hprefetch/internal/xrand"
 )
@@ -26,7 +27,7 @@ func Fig1StageFootprints(rc RunConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var eng sim.EventSource = built.NewEngine()
+	var eng tracefile.Source = built.NewEngine()
 	tracePath := rc.TracePath
 	if tracePath == "" && rc.TraceDir != "" {
 		tracePath = tracePathFor(rc.TraceDir, name)

@@ -289,7 +289,7 @@ func tracePathFor(dir, workload string) string {
 
 // sourceErr extracts a finite event source's terminal error, treating a
 // clean end of stream (tracefile.ErrExhausted) as success.
-func sourceErr(src sim.EventSource) error {
+func sourceErr(src tracefile.Source) error {
 	e, ok := src.(interface{ Err() error })
 	if !ok {
 		return nil
@@ -519,10 +519,11 @@ func runOne(ctx context.Context, workload string, scheme Scheme, rc RunConfig) (
 		return nil, fmt.Errorf("harness: %s/%s measure: %w", workload, scheme, err)
 	}
 	if rec != nil {
-		// Pull the lookahead tail past the measure window so the trace
-		// can later feed any scheme's FTQ over the same instructions,
-		// then seal index and trailer.
-		if _, err := rec.Finish(tracefile.TailEvents); err != nil {
+		// End the trace where the machine's pulled stream ends, plus
+		// the lookahead tail past the measure window so it can later
+		// feed any scheme's FTQ over the same instructions, then seal
+		// index and trailer.
+		if _, err := rec.Finish(m.Unpulled(), tracefile.TailEvents); err != nil {
 			return nil, fmt.Errorf("harness: %s/%s: sealing trace: %w", workload, scheme, err)
 		}
 		finished = true

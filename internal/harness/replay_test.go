@@ -2,7 +2,9 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -224,5 +226,32 @@ func TestTruncatedTraceFailsRun(t *testing.T) {
 	_, err := runOne(context.Background(), "gin", SchemeFDIP, long)
 	if err == nil {
 		t.Fatal("600k-instruction replay of a 100k-instruction trace succeeded")
+	}
+}
+
+// teeSHA256 pins the SHA-256 of the trace a RecordPath tee leaves
+// behind for an FDIP run at goldenRunConfig. The simulator fills its
+// lookahead window ahead of the cycle loop, but the recorder must still
+// write exactly the pulled stream plus the TailEvents tail, byte for
+// byte what a per-event tee wrote.
+var teeSHA256 = map[string]string{
+	"gin":         "072cb293dbb362bb6b742433010a712b090390a4d1156be4aefae4dbad19adc1",
+	"chain-burst": "cf517261e9f7211584bdfa6ce2d32d9f47ed8cc3e699a95ca5cf914aa7d58419",
+}
+
+func TestRecordTeeHashPinned(t *testing.T) {
+	for w, want := range teeSHA256 {
+		rc := goldenRunConfig()
+		rc.RecordPath = filepath.Join(t.TempDir(), w+TraceExt)
+		if _, err := runOne(context.Background(), w, SchemeFDIP, rc); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(rc.RecordPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%s: teed trace hashes to %s, pinned %s", w, got, want)
+		}
 	}
 }

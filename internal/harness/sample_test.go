@@ -173,10 +173,10 @@ func TestSampledVsExactGoldenMatrix(t *testing.T) {
 	}
 }
 
-// TestSampledReplayMatchesLiveSampled pins that the batch replay path
-// and the live interface path agree under sampling too: the same
-// sampled spec over a recorded trace and over the live engine produces
-// identical statistics.
+// TestSampledReplayMatchesLiveSampled pins that replay (one zero-copy
+// window over the decoded trace) and live runs (a refilled window)
+// agree under sampling too: the same sampled spec over a recorded trace
+// and over the live engine produces identical statistics.
 func TestSampledReplayMatchesLiveSampled(t *testing.T) {
 	dir := t.TempDir()
 	rc := goldenRunConfig()

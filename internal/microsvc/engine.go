@@ -19,14 +19,19 @@ import (
 // completion. Concurrency is what creates the footprint thrash: lane
 // A's service-2 code evicts lane B's service-0 code mid-request.
 //
-// Engine satisfies workloads.Engine (and therefore sim.EventSource,
-// sim.RequestMarker and tracefile.Source): recording, replay, fault
-// paths and the fleet treat it exactly like the plain engine.
+// Engine satisfies workloads.Engine (and therefore sim.EventSource and
+// tracefile.Source): recording, replay, fault paths and the fleet treat
+// it exactly like the plain engine.
 type Engine struct {
 	lanes []*lane
 	arr   *arrivals
 
-	runq    []int // lanes with an admitted request, in scheduling order
+	// runq is a ring of lane indices with an admitted request, in
+	// scheduling order: runq[rqHead] runs, rqLen are queued. Every
+	// lane is in runq or idle, never both, so len(lanes) slots suffice.
+	runq    []int
+	rqHead  int
+	rqLen   int
 	idle    []int // lanes awaiting a request (stack)
 	pending uint64
 	started uint64 // requests admitted to a lane so far (monotonic)
@@ -64,6 +69,7 @@ func New(ld *loader.Loaded, seed uint64, lanes int, ac ArrivalConfig) (*Engine, 
 	e := &Engine{
 		lanes:    make([]*lane, lanes),
 		arr:      newArrivals(ac, seed),
+		runq:     make([]int, lanes),
 		curStage: program.NoStage,
 	}
 	for i := range e.lanes {
@@ -109,7 +115,7 @@ func (e *Engine) assign(li int) {
 	l.req = e.started
 	e.started++
 	l.prevStage = l.eng.Stage()
-	e.runq = append(e.runq, li)
+	e.enqueue(li)
 }
 
 // Next returns the next retired block event of the interleaved stream.
@@ -125,7 +131,7 @@ func (e *Engine) Next() isa.BlockEvent {
 		e.nextArr = e.arr.next()
 	}
 	// All lanes idle: fast-forward the clock to the next arrival.
-	if len(e.runq) == 0 {
+	if e.rqLen == 0 {
 		e.clock = e.nextArr
 		for e.nextArr <= e.clock {
 			e.admit()
@@ -133,7 +139,7 @@ func (e *Engine) Next() isa.BlockEvent {
 		}
 	}
 
-	li := e.runq[0]
+	li := e.runq[e.rqHead]
 	l := e.lanes[li]
 	ev := l.eng.Next()
 	e.clock += uint64(ev.NumInstr)
@@ -149,7 +155,7 @@ func (e *Engine) Next() isa.BlockEvent {
 	if e.curDone {
 		// Request complete: free the lane, or hand it the oldest
 		// backlogged arrival immediately.
-		e.runq = e.runq[1:]
+		e.dequeue()
 		if e.pending > 0 {
 			e.pending--
 			e.assign(li)
@@ -159,11 +165,38 @@ func (e *Engine) Next() isa.BlockEvent {
 	} else if st := l.eng.Stage(); st != l.prevStage {
 		// RPC hop: yield the stream to the next runnable lane.
 		l.prevStage = st
-		if len(e.runq) > 1 {
-			e.runq = append(e.runq[1:], li)
+		if e.rqLen > 1 {
+			e.dequeue()
+			e.enqueue(li)
 		}
 	}
 	return ev
+}
+
+// Fill writes the next len(ev) events with their request marks and
+// the request count after each (the sim.EventSource window contract).
+// The stream is unbounded, so it always fills every slot.
+func (e *Engine) Fill(ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) int {
+	req, done, reqs = req[:len(ev)], done[:len(ev)], reqs[:len(ev)]
+	for i := range ev {
+		ev[i] = e.Next()
+		req[i] = e.curReq
+		done[i] = e.curDone
+		reqs[i] = e.started
+	}
+	return len(ev)
+}
+
+// enqueue appends lane li to the run queue.
+func (e *Engine) enqueue(li int) {
+	e.runq[(e.rqHead+e.rqLen)%len(e.runq)] = li
+	e.rqLen++
+}
+
+// dequeue drops the running lane from the head of the run queue.
+func (e *Engine) dequeue() {
+	e.rqHead = (e.rqHead + 1) % len(e.runq)
+	e.rqLen--
 }
 
 // Instructions returns the total instructions emitted so far.

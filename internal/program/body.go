@@ -55,10 +55,10 @@ type Item struct {
 	Kind ItemKind
 }
 
-// Body expands the function into its deterministic item list. The result
-// for a given function value never changes; callers cache it.
-func Body(f *Function) []Item {
-	items := make([]Item, 0, len(f.Calls)*2+8)
+// AppendBody expands the function into its deterministic item list,
+// appended to items (so a caller can expand into reused storage). The
+// list for a given function value never changes; callers cache it.
+func AppendBody(items []Item, f *Function) []Item {
 	s := xrand.Mix(f.Seed, 0xB0D135)
 	rng := xrand.New(s)
 	cur := uint32(0)

@@ -138,7 +138,7 @@ func TestBodyCoversFunction(t *testing.T) {
 	}
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
-		items := Body(f)
+		items := AppendBody(nil, f)
 		if len(items) == 0 {
 			t.Fatalf("func %d has empty body", i)
 		}
@@ -188,7 +188,7 @@ func TestBodyDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &p.Funcs[p.Stages[1].Func]
-	a, b := Body(f), Body(f)
+	a, b := AppendBody(nil, f), AppendBody(nil, f)
 	if len(a) != len(b) {
 		t.Fatal("body lengths differ")
 	}

@@ -38,7 +38,7 @@ type pfReq struct {
 // evaluation.
 type Machine struct {
 	prm Params
-	eng EventSource
+	src EventSource
 	bp  *bpu.Unit
 	pf  prefetch.Prefetcher
 	st  *Stats
@@ -77,25 +77,29 @@ type Machine struct {
 	nextPFSlot   uint64
 	missLatEst   uint64
 
-	// Lookahead ring: ring[head..head+count) are events pulled from the
-	// engine but not yet fetched. The first predOff of them are in the
-	// FTQ (the cursor has passed them).
-	ring    []isa.BlockEvent
-	head    int
-	count   int
+	// Lookahead window over the event stream: win.ev[bpos:] are events
+	// taken from the source but not yet fetched, and the first predOff
+	// of them are in the FTQ (the cursor has passed them). bpull is the
+	// pull high-water, one past the furthest event either cursor has
+	// looked at, and reqBase the source's Requests count before
+	// win.ev[0]; together they make Stats.Requests count the requests
+	// started up to the high-water, however far ahead the source
+	// filled. A batch source's window aliases its decoded storage; any
+	// other source fills buf, which the machine owns.
+	win     window
+	buf     window
+	bpos    int
+	bpull   int
+	reqBase uint64
 	predOff int
 	blocked blockKind
+	scratch isa.BlockEvent // fault-injection copy, so flips never touch the window
 
-	// Per-request stall attribution (active when the source implements
-	// RequestMarker). ringReq/ringDone shadow the lookahead ring with the
-	// marks sampled as each event was pulled; curReq/curDone are the
-	// marks of the event currently being fetched; reqStall accumulates
-	// each in-flight request's exposed fetch stall. The map deliberately
-	// survives ResetStats so a request spanning the warmup/measure
-	// boundary completes with its full stall.
-	marker   RequestMarker
-	ringReq  []uint64
-	ringDone []bool
+	// Per-request stall attribution: curReq/curDone are the marks of
+	// the event being fetched; reqStall accumulates each in-flight
+	// request's exposed fetch stall. The map deliberately survives
+	// ResetStats so a request spanning the warmup/measure boundary
+	// completes with its full stall.
 	curReq   uint64
 	curDone  bool
 	reqStall map[uint64]uint64
@@ -104,24 +108,14 @@ type Machine struct {
 	// construction so the run loop's exhaustion path never type-asserts.
 	srcErr func() error
 
-	// Batch fast path (source implements BatchSource): the lookahead
-	// window indexes the decoded arrays directly — bpos is the fetch
-	// cursor, bpos+predOff the prediction cursor, and bpull the pull
-	// high-water (how many events the interface path would have pulled
-	// into its ring), sampled at Run boundaries for Requests parity.
-	bsrc    BatchSource
-	bev     []isa.BlockEvent
-	breq    []uint64
-	bdone   []bool
-	bpos    int
-	bpull   int
-	scratch isa.BlockEvent // fault-injection copy, so flips never touch bev
-
-	// Evaluated-prefetcher request queue: requests park here when the
-	// MSHR file is full and drain as fills complete. Each remembers the
-	// block sequence at request time (the paper measures prefetch
-	// distance from the trigger, not from eventual issue).
+	// Evaluated-prefetcher request queue, a ring of PFQueueEntries:
+	// requests park here when the MSHR file is full and drain as fills
+	// complete. Each remembers the block sequence at request time (the
+	// paper measures prefetch distance from the trigger, not from
+	// eventual issue).
 	pfQueue []pfReq
+	pfHead  int
+	pfLen   int
 
 	// LateHook, when set, is called on every late demand fill with the
 	// block, the origin of the in-flight request, and the serving
@@ -135,10 +129,32 @@ type Machine struct {
 	histHead   int
 }
 
+// window is the machine's lookahead storage in struct-of-arrays form:
+// the events, each event's request id and request-done flip, and the
+// source's Requests count after each event.
+type window struct {
+	ev   []isa.BlockEvent
+	req  []uint64
+	done []bool
+	reqs []uint64
+}
+
+// defaultWindowChunk is how many events a filling source writes per
+// refill, picked by a sweep of live FDIP runs (EXPERIMENTS.md): from 256
+// on, the refill's slide of at most FTQEntries events and its interface
+// call no longer show per event, while from 2048 on the window (57
+// bytes per event) starts to crowd the host's L2. At 256 it takes about
+// 16 KB per machine.
+const defaultWindowChunk = 256
+
+// windowChunk is defaultWindowChunk; it is a variable only so tests
+// can shrink the window and put a refill at every lookahead position.
+var windowChunk = defaultWindowChunk
+
 // New builds a machine over any event source — the live engine, a
 // trace-file reader, or a recorder teeing one to disk. pf may be nil
 // (FDIP-only baseline).
-func New(prm Params, eng EventSource, pf prefetch.Prefetcher) (*Machine, error) {
+func New(prm Params, src EventSource, pf prefetch.Prefetcher) (*Machine, error) {
 	if prm.FetchWidth <= 0 || CycleScale%prm.FetchWidth != 0 {
 		return nil, fmt.Errorf("sim: fetch width %d must divide %d", prm.FetchWidth, CycleScale)
 	}
@@ -172,7 +188,7 @@ func New(prm Params, eng EventSource, pf prefetch.Prefetcher) (*Machine, error) 
 	}
 	m := &Machine{
 		prm:        prm,
-		eng:        eng,
+		src:        src,
 		bp:         bpu.New(prm.BP),
 		pf:         pf,
 		st:         NewStats(),
@@ -184,22 +200,25 @@ func New(prm Params, eng EventSource, pf prefetch.Prefetcher) (*Machine, error) 
 		itlb:       itlb,
 		mshr:       cache.NewMSHRFile(prm.MSHRs),
 		missLatEst: prm.LLCLatency * CycleScale,
-		ring:       make([]isa.BlockEvent, prm.FTQEntries+2),
+		reqBase:    src.Requests(),
+		reqStall:   make(map[uint64]uint64),
+		pfQueue:    make([]pfReq, max(prm.PFQueueEntries, 0)),
 		histBlocks: make([]isa.Block, historyLen),
 		histTimes:  make([]uint64, historyLen),
 	}
-	if rm, ok := eng.(RequestMarker); ok {
-		m.marker = rm
-		m.ringReq = make([]uint64, len(m.ring))
-		m.ringDone = make([]bool, len(m.ring))
-		m.reqStall = make(map[uint64]uint64)
-	}
-	if es, ok := eng.(interface{ Err() error }); ok {
+	if es, ok := src.(interface{ Err() error }); ok {
 		m.srcErr = es.Err
 	}
-	if bs, ok := eng.(BatchSource); ok {
-		m.bsrc = bs
-		m.bev, m.breq, m.bdone = bs.Batch()
+	if bs, ok := src.(BatchSource); ok {
+		m.win.ev, m.win.req, m.win.done, m.win.reqs = bs.Batch()
+	} else {
+		n := prm.FTQEntries + windowChunk
+		m.buf = window{
+			ev:   make([]isa.BlockEvent, n),
+			req:  make([]uint64, n),
+			done: make([]bool, n),
+			reqs: make([]uint64, n),
+		}
 	}
 	return m, nil
 }
@@ -260,11 +279,8 @@ func (m *Machine) ResetStats() {
 // stops early and reports the failure if the machine's internal
 // bookkeeping ever breaks (statistics up to that point stay valid).
 func (m *Machine) Run(n uint64) error {
-	if m.bsrc != nil {
-		return m.runBatch(n)
-	}
 	target := m.st.Instructions + n
-	startReq := m.eng.Requests()
+	startReq := m.pulledRequests()
 	var ctxErr error
 	var steps uint64
 	for m.st.Instructions < target && m.err == nil {
@@ -278,54 +294,16 @@ func (m *Machine) Run(n uint64) error {
 		if m.err != nil {
 			break
 		}
-		ev, wasInFTQ := m.popEvent()
-		if m.err != nil {
-			break
-		}
-		m.fetch(&ev, wasInFTQ)
-	}
-	m.st.Requests += m.eng.Requests() - startReq
-	m.st.ScaledCycles = m.now + m.backendExtra - m.statsBase
-	if m.err != nil {
-		return m.err
-	}
-	return ctxErr
-}
-
-// runBatch is Run over a batch source: the identical cycle loop with
-// the lookahead window indexed straight into the decoded event arrays —
-// no per-event interface dispatch, ring copies, or marker lookups. The
-// interface and batch paths are observationally equivalent, so digests
-// never depend on which one ran.
-func (m *Machine) runBatch(n uint64) error {
-	target := m.st.Instructions + n
-	startReq := m.bsrc.BatchRequests(m.bpull)
-	var ctxErr error
-	var steps uint64
-	for m.st.Instructions < target && m.err == nil {
-		if m.ctx != nil && steps%ctxCheckInterval == 0 {
-			if ctxErr = m.ctx.Err(); ctxErr != nil {
-				break
-			}
-		}
-		steps++
-		m.advanceCursorBatch()
-		if m.err != nil {
-			break
-		}
-		// Pop the oldest event in place (popEvent without the ring).
-		if m.bpos >= len(m.bev) {
-			m.batchDry()
+		// Pop the oldest event.
+		if m.bpos >= len(m.win.ev) && !m.refill() {
 			break
 		}
 		if m.bpos+1 > m.bpull {
 			m.bpull = m.bpos + 1
 		}
-		ev := &m.bev[m.bpos]
-		if m.marker != nil {
-			m.curReq = m.breq[m.bpos]
-			m.curDone = m.bdone[m.bpos]
-		}
+		ev := &m.win.ev[m.bpos]
+		m.curReq = m.win.req[m.bpos]
+		m.curDone = m.win.done[m.bpos]
 		m.bpos++
 		wasInFTQ := false
 		if m.predOff > 0 {
@@ -334,13 +312,14 @@ func (m *Machine) runBatch(n uint64) error {
 		}
 		if m.inj != nil {
 			// fetch may flip the Tagged bit under fault injection; give
-			// it a scratch copy so the shared decoded arrays stay intact.
+			// it a scratch copy so the window (possibly a shared decoded
+			// trace) stays intact.
 			m.scratch = *ev
 			ev = &m.scratch
 		}
 		m.fetch(ev, wasInFTQ)
 	}
-	m.st.Requests += m.bsrc.BatchRequests(m.bpull) - startReq
+	m.st.Requests += m.pulledRequests() - startReq
 	m.st.ScaledCycles = m.now + m.backendExtra - m.statsBase
 	if m.err != nil {
 		return m.err
@@ -348,8 +327,54 @@ func (m *Machine) runBatch(n uint64) error {
 	return ctxErr
 }
 
-// advanceCursorBatch is advanceCursor over the decoded arrays.
-func (m *Machine) advanceCursorBatch() {
+// pulledRequests is the source's Requests count at the pull high-water.
+func (m *Machine) pulledRequests() uint64 {
+	if m.bpull == 0 {
+		return m.reqBase
+	}
+	return m.win.reqs[m.bpull-1]
+}
+
+// Unpulled returns how many events the window holds beyond the pull
+// high-water: events the source filled ahead that neither cursor has
+// looked at. A tee (tracefile.Recorder) ends its recording that many
+// events short of what it delivered, where the pulled stream ends.
+func (m *Machine) Unpulled() int { return len(m.win.ev) - m.bpull }
+
+// refill slides the unfetched tail of the window (the FTQ, at most
+// FTQEntries events) to the front of the machine's buffer and has the
+// source fill the rest. It reports false, with the end-of-stream error
+// latched, once the source has nothing more; a batch source's single
+// window never refills.
+func (m *Machine) refill() bool {
+	if m.buf.ev == nil {
+		m.dry()
+		return false
+	}
+	if m.bpos > 0 {
+		m.reqBase = m.win.reqs[m.bpos-1]
+	}
+	w, b := m.win, m.buf
+	tail := copy(b.ev, w.ev[m.bpos:])
+	copy(b.req, w.req[m.bpos:])
+	copy(b.done, w.done[m.bpos:])
+	copy(b.reqs, w.reqs[m.bpos:])
+	end := tail + m.src.Fill(b.ev[tail:], b.req[tail:], b.done[tail:], b.reqs[tail:])
+	m.win = window{ev: b.ev[:end], req: b.req[:end], done: b.done[:end], reqs: b.reqs[:end]}
+	m.bpull -= m.bpos
+	m.bpos = 0
+	if end == tail {
+		m.dry()
+		return false
+	}
+	return true
+}
+
+// advanceCursor runs the prediction cursor ahead of fetch, enqueuing
+// fetch regions into the FTQ (each enqueue is an FDIP prefetch) until the
+// FTQ fills, a prediction fails, or a taken branch is invisible to the
+// BTB — the fundamental FDIP lookahead limits (§2.1).
+func (m *Machine) advanceCursor() {
 	for m.blocked == notBlocked && m.predOff < m.prm.FTQEntries {
 		if !m.specSynced {
 			m.specHist = m.archHist
@@ -357,14 +382,16 @@ func (m *Machine) advanceCursorBatch() {
 			m.specSynced = true
 		}
 		i := m.bpos + m.predOff
-		if i >= len(m.bev) {
-			m.batchDry()
-			return
+		if i >= len(m.win.ev) {
+			if !m.refill() {
+				return
+			}
+			i = m.predOff
 		}
 		if i+1 > m.bpull {
 			m.bpull = i + 1
 		}
-		ev := &m.bev[i]
+		ev := &m.win.ev[i]
 		m.predOff++
 		// The branch predictor produces one fetch region per cycle;
 		// FTQ refill after a flush is not instantaneous.
@@ -381,16 +408,11 @@ func (m *Machine) advanceCursorBatch() {
 	}
 }
 
-// batchDry latches the end-of-stream error exactly as ensure does,
-// first syncing the source cursor so its Instructions/Err report the
-// exhausted position, and raising the pull high-water to the full
-// stream as the interface path's failed pull would.
-func (m *Machine) batchDry() {
-	// The source cursor never moved while the batch path indexed the
-	// arrays; consume the whole view to reach the exhausted position.
-	m.bsrc.BatchConsume(len(m.bev))
-	m.bpos = len(m.bev)
-	m.bpull = len(m.bev)
+// dry latches the end-of-stream error, marking the whole window pulled
+// (the stream was read to its end).
+func (m *Machine) dry() {
+	m.bpos = len(m.win.ev)
+	m.bpull = len(m.win.ev)
 	cause := errors.New("event source ran dry")
 	if m.srcErr != nil {
 		if err := m.srcErr(); err != nil {
@@ -398,7 +420,7 @@ func (m *Machine) batchDry() {
 		}
 	}
 	m.fail(fmt.Errorf("sim: event stream ended after %d instructions: %w",
-		m.eng.Instructions(), cause))
+		m.src.Instructions(), cause))
 }
 
 // SkipFunctional advances the stream by at least n instructions without
@@ -423,36 +445,22 @@ func (m *Machine) SkipFunctional(n uint64) error {
 	m.mshr.Drain(^uint64(0), func(e *cache.MSHR) {
 		m.installL1I(e.Block, e.Origin, e.IssueSeq, false, false)
 	})
-	m.pfQueue = m.pfQueue[:0]
-	if m.marker != nil {
-		// Requests in flight across a skip lose their stall attribution;
-		// dropping them beats mis-charging a later interval.
-		clear(m.reqStall)
-	}
+	m.pfLen = 0
+	// Requests in flight across a skip lose their stall attribution;
+	// dropping them beats mis-charging a later interval.
+	clear(m.reqStall)
 	var done uint64
-	if m.bsrc != nil {
-		for done < n {
-			if m.bpos >= len(m.bev) {
-				m.batchDry()
-				return m.err
-			}
-			if m.bpos+1 > m.bpull {
-				m.bpull = m.bpos + 1
-			}
-			ev := &m.bev[m.bpos]
-			m.bpos++
-			done += uint64(ev.NumInstr)
-			m.warmEvent(ev)
-		}
-		return nil
-	}
 	for done < n {
-		ev, _ := m.popEvent()
-		if m.err != nil {
+		if m.bpos >= len(m.win.ev) && !m.refill() {
 			return m.err
 		}
+		if m.bpos+1 > m.bpull {
+			m.bpull = m.bpos + 1
+		}
+		ev := &m.win.ev[m.bpos]
+		m.bpos++
 		done += uint64(ev.NumInstr)
-		m.warmEvent(&ev)
+		m.warmEvent(ev)
 	}
 	return nil
 }
@@ -481,87 +489,6 @@ func (m *Machine) warmEvent(ev *isa.BlockEvent) {
 		}
 	}
 	m.trainArch(ev)
-}
-
-// ensure pulls source events until ring position i exists. A finite
-// source running dry (zero event) latches an error instead of feeding
-// the ring garbage — replaying a trace shorter than the run is a
-// failure, not a silent stall.
-func (m *Machine) ensure(i int) {
-	for m.count <= i {
-		ev := m.eng.Next()
-		if ev.NumInstr == 0 {
-			cause := errors.New("event source ran dry")
-			if m.srcErr != nil {
-				if err := m.srcErr(); err != nil {
-					cause = err
-				}
-			}
-			m.fail(fmt.Errorf("sim: event stream ended after %d instructions: %w",
-				m.eng.Instructions(), cause))
-			return
-		}
-		idx := (m.head + m.count) % len(m.ring)
-		m.ring[idx] = ev
-		if m.marker != nil {
-			m.ringReq[idx] = m.marker.CurrentRequest()
-			m.ringDone[idx] = m.marker.RequestDone()
-		}
-		m.count++
-	}
-}
-
-// popEvent removes the oldest event, reporting whether the cursor had
-// already passed it (it was in the FTQ).
-func (m *Machine) popEvent() (isa.BlockEvent, bool) {
-	m.ensure(0)
-	if m.count == 0 {
-		return isa.BlockEvent{}, false
-	}
-	ev := m.ring[m.head]
-	if m.marker != nil {
-		m.curReq = m.ringReq[m.head]
-		m.curDone = m.ringDone[m.head]
-	}
-	m.head = (m.head + 1) % len(m.ring)
-	m.count--
-	if m.predOff > 0 {
-		m.predOff--
-		return ev, true
-	}
-	return ev, false
-}
-
-// advanceCursor runs the prediction cursor ahead of fetch, enqueuing
-// fetch regions into the FTQ (each enqueue is an FDIP prefetch) until the
-// FTQ fills, a prediction fails, or a taken branch is invisible to the
-// BTB — the fundamental FDIP lookahead limits (§2.1).
-func (m *Machine) advanceCursor() {
-	for m.blocked == notBlocked && m.predOff < m.prm.FTQEntries {
-		if !m.specSynced {
-			m.specHist = m.archHist
-			m.specRAS.CopyFrom(m.archRAS)
-			m.specSynced = true
-		}
-		m.ensure(m.predOff)
-		if m.count <= m.predOff {
-			return // source ran dry; the error is latched
-		}
-		ev := &m.ring[(m.head+m.predOff)%len(m.ring)]
-		m.predOff++
-		// The branch predictor produces one fetch region per cycle;
-		// FTQ refill after a flush is not instantaneous.
-		if m.cursorClock < m.now {
-			m.cursorClock = m.now
-		}
-		m.cursorClock += CycleScale
-		if !m.prm.DisableFDIP && !m.prm.PerfectL1I {
-			if m.issueFill(ev.Block(), cache.OriginFDIP, m.cursorClock) {
-				m.st.FDIPIssued++
-			}
-		}
-		m.blocked = m.predictSpec(ev)
-	}
 }
 
 // predictSpec evaluates whether the front-end can follow ev's terminator,
@@ -624,10 +551,8 @@ func (m *Machine) fetch(ev *isa.BlockEvent, wasInFTQ bool) {
 	if !m.haveLast || blk != m.lastBlock {
 		stallBefore := m.st.StallScaled
 		m.demandAccess(blk)
-		if m.marker != nil {
-			if d := m.st.StallScaled - stallBefore; d != 0 {
-				m.reqStall[m.curReq] += d
-			}
+		if d := m.st.StallScaled - stallBefore; d != 0 {
+			m.reqStall[m.curReq] += d
 		}
 		m.lastBlock = blk
 		m.haveLast = true
@@ -641,7 +566,7 @@ func (m *Machine) fetch(ev *isa.BlockEvent, wasInFTQ bool) {
 		}
 	}
 
-	if len(m.pfQueue) > 0 {
+	if m.pfLen > 0 {
 		m.drainMSHR()
 		m.drainPFQueue()
 	}
@@ -684,7 +609,7 @@ func (m *Machine) fetch(ev *isa.BlockEvent, wasInFTQ bool) {
 
 	// Request completion: fold the finished request's accumulated stall
 	// into the per-request tail statistics.
-	if m.marker != nil && m.curDone {
+	if m.curDone {
 		total := m.reqStall[m.curReq]
 		delete(m.reqStall, m.curReq)
 		m.st.ReqCompleted++
@@ -1156,22 +1081,23 @@ func (m *Machine) Prefetch(blk isa.Block) bool {
 		m.st.PFRedundant++
 		return false
 	}
-	if len(m.pfQueue) > 0 || m.mshrFull() {
+	if m.pfLen > 0 || m.mshrFull() {
 		m.drainMSHR()
 		m.drainPFQueue()
 	}
-	if len(m.pfQueue) == 0 && !m.mshrFull() {
+	if m.pfLen == 0 && !m.mshrFull() {
 		if m.issueFillSeq(blk, cache.OriginPF, m.now, m.blockSeq) {
 			m.st.PFIssued++
 			return true
 		}
 		return false
 	}
-	if len(m.pfQueue) >= m.prm.PFQueueEntries {
+	if m.pfLen >= len(m.pfQueue) {
 		m.st.PFDropped++
 		return false
 	}
-	m.pfQueue = append(m.pfQueue, pfReq{block: blk, seq: m.blockSeq})
+	m.pfQueue[(m.pfHead+m.pfLen)%len(m.pfQueue)] = pfReq{block: blk, seq: m.blockSeq}
+	m.pfLen++
 	return true
 }
 
@@ -1192,14 +1118,15 @@ func (m *Machine) PrefetchMapped(blk isa.Block) bool {
 // PrefetchSpace returns how many more Prefetch calls can currently be
 // accepted without dropping.
 func (m *Machine) PrefetchSpace() int {
-	return m.prm.PFQueueEntries - len(m.pfQueue)
+	return m.prm.PFQueueEntries - m.pfLen
 }
 
 // drainPFQueue issues queued prefetches as MSHRs free up.
 func (m *Machine) drainPFQueue() {
-	for len(m.pfQueue) > 0 && !m.mshrFull() {
-		r := m.pfQueue[0]
-		m.pfQueue = m.pfQueue[1:]
+	for m.pfLen > 0 && !m.mshrFull() {
+		r := m.pfQueue[m.pfHead]
+		m.pfHead = (m.pfHead + 1) % len(m.pfQueue)
+		m.pfLen--
 		if m.issueFillSeq(r.block, cache.OriginPF, m.now, r.seq) {
 			m.st.PFIssued++
 		}

@@ -2,81 +2,47 @@ package sim
 
 import "hprefetch/internal/isa"
 
-// EventSource feeds the machine its retired block-event stream. The
-// live implementation is trace.Engine (interpreting the synthetic
-// program); tracefile.Reader replays a recorded stream and
-// tracefile.Recorder tees a live one to disk — all three satisfy this
-// interface structurally, so the machine cannot tell record, replay and
-// live apart (which is exactly the digest-equality guarantee).
+// EventSource feeds the machine its retired block-event stream one
+// window at a time. The live implementations are trace.Engine and the
+// microservice interleaver; tracefile.Reader streams a recorded trace,
+// tracefile.MemReader replays a decoded one, and tracefile.Recorder
+// tees a live stream to disk. The machine cannot tell them apart, which
+// is exactly the record/replay digest-equality guarantee.
 //
-// The counters follow the engine's sampling contract: they describe
-// the state after the most recently returned event and are only
-// meaningful between Next calls.
+// The machine calls Fill only once its cursors have looked at every
+// event of the previous fill, so a source may treat a Fill call as
+// proof that everything it delivered before was consumed.
 //
-// A live engine's stream is unbounded. A finite source (a trace file)
-// signals its end by returning a zero event (NumInstr == 0) from Next;
-// sources that can also explain why should implement
+// A live stream is unbounded. A finite source (a trace file) signals
+// its end by filling fewer events than asked; sources that can also
+// explain why should implement
 //
 //	Err() error
 //
 // which the machine consults to report the cause (e.g. a truncated
 // trace) instead of a bare exhaustion error.
 type EventSource interface {
-	// Next returns the next retired block event.
-	Next() isa.BlockEvent
-	// Instructions is the total instructions emitted so far.
+	// Fill writes the stream's next events into ev and, index for
+	// index, each event's request id (req), whether it was its
+	// request's last event (done), and the Requests count after it
+	// (reqs). The four slices have equal length. Fill returns how many
+	// events it wrote: len(ev) unless the stream ended.
+	Fill(ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) int
+	// Instructions is the total instructions delivered so far.
 	Instructions() uint64
-	// Requests is how many requests have been started so far.
+	// Requests is how many requests had started when the most recently
+	// delivered event retired (before any: the pre-stream count).
 	Requests() uint64
-	// CurrentType is the request type being processed.
-	CurrentType() int
-	// Stage is the effective pipeline stage (program.NoStage outside one).
-	Stage() int16
-	// Depth is the current simulated call-stack depth.
-	Depth() int
 }
 
-// BatchSource is the optional flat fast-path interface for fully
-// decoded in-memory sources (tracefile.MemReader). The machine, on
-// seeing it, reads the remaining stream as struct-of-arrays slices and
-// runs its cycle loop by direct indexing — no per-event interface
-// dispatch, ring copies, or marker lookups. Live and teeing sources
-// keep the interface path; behavior (and hence every digest) is
-// identical between the two.
-//
-// Handing a source to a batch consumer transfers cursor ownership: the
-// consumer indexes the Batch view and only syncs the source's own
-// cursor (BatchConsume) when the stream runs out, so Instructions/Err
-// report the same terminal state the interface path would.
+// BatchSource is an EventSource whose whole remainder is already
+// decoded in memory (tracefile.MemReader). The machine takes it as one
+// zero-copy window instead of filling a window of its own.
 type BatchSource interface {
 	EventSource
-	// Batch returns the undelivered remainder of the stream as flat
-	// parallel slices: the events, each event's request id, and its
-	// request-done flip. The slices alias the source's decoded storage
-	// and must not be mutated.
-	Batch() (ev []isa.BlockEvent, req []uint64, done []bool)
-	// BatchRequests returns what Requests would read after n more
-	// events had been delivered; the machine samples it at its pull
-	// high-water at Run boundaries for digest parity.
-	BatchRequests(n int) uint64
-	// BatchConsume advances the source's cursor past the first n events
-	// of the most recent Batch view, as if Next had been called n times.
-	BatchConsume(n int)
-}
-
-// RequestMarker is the optional per-request boundary interface. Sources
-// that implement it (trace.Engine, the tracefile readers and Recorder,
-// the microservice interleaver) let the machine attribute fetch stall
-// to individual requests and fill the per-request tail histogram; plain
-// synthetic sources without it still simulate, just without tail stats.
-//
-// Both methods follow the sampling contract above: they describe the
-// most recently returned event.
-type RequestMarker interface {
-	// CurrentRequest is the id of the request the event belongs to.
-	// Ids are unique per in-flight request; an interleaving source may
-	// return non-monotonic ids as it hops between concurrent requests.
-	CurrentRequest() uint64
-	// RequestDone reports whether the event was its request's last.
-	RequestDone() bool
+	// Batch hands over the undelivered remainder as parallel slices
+	// with Fill's meaning and moves the source's cursor to the end of
+	// the stream. The slices alias the source's storage and must not
+	// be mutated.
+	Batch() (ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64)
 }

@@ -28,11 +28,17 @@ func (s *drySource) Next() isa.BlockEvent {
 	s.instr += uint64(ev.NumInstr)
 	return ev
 }
+func (s *drySource) Fill(ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) int {
+	for i := range ev {
+		if ev[i] = s.Next(); ev[i].NumInstr == 0 {
+			return i
+		}
+		req[i], done[i], reqs[i] = 0, false, 0
+	}
+	return len(ev)
+}
 func (s *drySource) Instructions() uint64 { return s.instr }
 func (s *drySource) Requests() uint64     { return 0 }
-func (s *drySource) CurrentType() int     { return 0 }
-func (s *drySource) Stage() int16         { return -1 }
-func (s *drySource) Depth() int           { return 0 }
 func (s *drySource) Err() error           { return s.cause }
 
 // TestRunFailsOnExhaustedSource: a finite event source that runs dry

@@ -82,11 +82,11 @@ type Stats struct {
 	MetaReadBlocks  uint64
 	MetaWriteBlocks uint64
 
-	// Per-request fetch-stall attribution, filled only when the event
-	// source implements RequestMarker. A request's stall is every scaled
-	// unit its demand accesses added to StallScaled between its first
-	// and last event; the histogram (per ReqStallBuckets, in cycles) is
-	// what the tail percentiles read.
+	// Per-request fetch-stall attribution, from the request marks the
+	// event source fills beside each event. A request's stall is every
+	// scaled unit its demand accesses added to StallScaled between its
+	// first and last event; the histogram (per ReqStallBuckets, in
+	// cycles) is what the tail percentiles read.
 	ReqCompleted uint64
 	ReqStallSum  uint64 // scaled units over completed requests
 	ReqStallMax  uint64 // scaled units, worst completed request

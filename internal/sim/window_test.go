@@ -1,0 +1,258 @@
+package sim_test
+
+// Window-boundary tests: the machine's lookahead window refills in
+// chunks, and shrinking the chunk to FTQEntries+2 puts a refill at every
+// lookahead position the cycle loop can reach. Nothing observable may
+// depend on where the refills fall.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"hprefetch/internal/fault"
+	"hprefetch/internal/harness"
+	"hprefetch/internal/isa"
+	"hprefetch/internal/sim"
+	"hprefetch/internal/tracefile"
+	"hprefetch/internal/workloads"
+)
+
+// minChunk is the smallest window chunk: one event past a full FTQ.
+var minChunk = sim.DefaultParams().FTQEntries + 2
+
+// chunks are the window chunks every boundary test compares.
+var chunks = []int{sim.DefaultWindowChunk, minChunk}
+
+// windowRunConfig is the golden digest matrix's run window.
+func windowRunConfig() harness.RunConfig {
+	rc := harness.DefaultRunConfig()
+	rc.WarmInstr = 200_000
+	rc.MeasureInstr = 400_000
+	return rc
+}
+
+// digestBothChunks runs one harness configuration at the default chunk
+// and at minChunk and fails unless the stats digests agree.
+func digestBothChunks(t *testing.T, name, workload string, scheme harness.Scheme, rc harness.RunConfig) {
+	t.Helper()
+	var digests [2]string
+	for i, chunk := range chunks {
+		restore := sim.SetWindowChunk(chunk)
+		res, err := harness.RunUncached(workload, scheme, rc)
+		restore()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		digests[i] = res.Stats.Digest()
+	}
+	if digests[0] != digests[1] {
+		t.Errorf("%s: digest %s at chunk %d, %s at the default chunk", name, digests[1], minChunk, digests[0])
+	}
+}
+
+// TestWindowChunkGoldenSchemes: the golden scheme set on gin and
+// chain-burst measures the same at the smallest chunk as at the default.
+func TestWindowChunkGoldenSchemes(t *testing.T) {
+	schemes := append(harness.Schemes(), harness.SchemePerfect, harness.SchemeGHB, harness.SchemeGHBTLB)
+	for _, w := range []string{"gin", "chain-burst"} {
+		for _, s := range schemes {
+			digestBothChunks(t, w+"/"+string(s), w, s, windowRunConfig())
+		}
+	}
+}
+
+// TestWindowChunkSampled: SkipFunctional sections cross refills (every
+// skip spans thousands of minChunk windows) without changing a sampled
+// run's statistics.
+func TestWindowChunkSampled(t *testing.T) {
+	rc := windowRunConfig()
+	rc.Sample = harness.SampleSpec{WarmInstr: 20_000, MeasureInstr: 30_000, SkipInstr: 60_000, Seed: 3}
+	for _, w := range []string{"gin", "chain-burst"} {
+		digestBothChunks(t, w+"/sampled", w, harness.SchemeHier, rc)
+	}
+}
+
+// TestWindowChunkTagFlip: tag-flip fault injection measures the same at
+// both chunk sizes.
+func TestWindowChunkTagFlip(t *testing.T) {
+	rc := windowRunConfig()
+	rc.Fault = fault.Config{Class: fault.ClassTagFlip, Rate: 0.01, Seed: 7}
+	for _, w := range []string{"gin", "chain-burst"} {
+		digestBothChunks(t, w+"/tag-flip", w, harness.SchemeHier, rc)
+	}
+}
+
+// keepSource passes a live engine's fills through and keeps a copy of
+// every event it delivered.
+type keepSource struct {
+	workloads.Engine
+	seen []isa.BlockEvent
+}
+
+func (k *keepSource) Fill(ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) int {
+	n := k.Engine.Fill(ev, req, done, reqs)
+	k.seen = append(k.seen, ev[:n]...)
+	return n
+}
+
+// nopPF is a prefetcher that only observes, so fetch reaches the tag-flip
+// fault point.
+type nopPF struct{}
+
+func (nopPF) Name() string                   { return "nop" }
+func (nopPF) OnRetire(*isa.BlockEvent)       {}
+func (nopPF) OnResteer()                     {}
+func (nopPF) OnDemandMiss(isa.Block, uint64) {}
+func (nopPF) StorageBits() int               { return 0 }
+
+// flipAll runs src under a fault injector that flips the tag of every
+// retired event and returns the machine.
+func flipAll(t *testing.T, src sim.EventSource) *sim.Machine {
+	t.Helper()
+	m, err := sim.New(sim.DefaultParams(), src, nopPF{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.New(fault.Config{Class: fault.ClassTagFlip, Rate: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetFaults(inj)
+	if err := m.Run(300_000); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().FaultTagFlips == 0 {
+		t.Fatal("no tag flipped")
+	}
+	return m
+}
+
+// TestTagFlipNeverTouchesWindow: a flip lands on the fetch stage's
+// scratch copy only. Whether the window is the machine's own buffer
+// (live, at either chunk size) or a decoded trace shared by every
+// replay, it keeps the stream exactly as the source delivered it.
+func TestTagFlipNeverTouchesWindow(t *testing.T) {
+	built, err := workloads.Build("gin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range chunks {
+		restore := sim.SetWindowChunk(chunk)
+		src := &keepSource{Engine: built.NewEngine()}
+		win := flipAll(t, src).Window()
+		restore()
+		want := src.seen[len(src.seen)-len(win):]
+		for i := range win {
+			if win[i] != want[i] {
+				t.Fatalf("chunk %d: window event %d is %+v, the source delivered %+v", chunk, i, win[i], want[i])
+			}
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "gin.hpt")
+	meta := tracefile.Meta{Workload: "gin", Seed: built.Workload.TraceSeed, TargetInstructions: 400_000}
+	if _, err := tracefile.Record(path, built.NewEngine(), meta, 400_000, tracefile.TailEvents, tracefile.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := tracefile.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipAll(t, loaded.Replay())
+	got, fresh := loaded.Replay(), built.NewEngine()
+	for i := 0; ; i++ {
+		ev := got.Next()
+		if ev.NumInstr == 0 {
+			break
+		}
+		if want := fresh.Next(); ev != want {
+			t.Fatalf("decoded trace event %d is %+v after a faulted replay, recorded %+v", i, ev, want)
+		}
+	}
+}
+
+// TestWindowChunkTruncatedStream: a torn trace read through the
+// streaming Reader fails at both chunk sizes with the same error, which
+// names the instructions of the intact prefix and wraps ErrTruncated.
+func TestWindowChunkTruncatedStream(t *testing.T) {
+	built, err := workloads.Build("gin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gin.hpt")
+	meta := tracefile.Meta{Workload: "gin", Seed: built.Workload.TraceSeed, TargetInstructions: 300_000}
+	if _, err := tracefile.Record(path, built.NewEngine(), meta, 300_000, tracefile.TailEvents, tracefile.Options{FrameEvents: 256}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)*3/5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The intact prefix, drained event by event.
+	r, err := tracefile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r.Next().NumInstr != 0 {
+	}
+	r.Close()
+	prefix := fmt.Sprintf("sim: event stream ended after %d instructions: ", r.Instructions())
+
+	var msgs [2]string
+	for i, chunk := range chunks {
+		restore := sim.SetWindowChunk(chunk)
+		r, err := tracefile.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sim.New(sim.DefaultParams(), r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = m.Run(1_000_000)
+		r.Close()
+		restore()
+		if !errors.Is(err, tracefile.ErrTruncated) || !strings.HasPrefix(err.Error(), prefix) {
+			t.Fatalf("chunk %d: Run error %v, want %q... wrapping ErrTruncated", chunk, err, prefix)
+		}
+		msgs[i] = err.Error()
+	}
+	if msgs[0] != msgs[1] {
+		t.Errorf("errors differ by chunk:\n  default: %s\n  chunk %d: %s", msgs[0], minChunk, msgs[1])
+	}
+}
+
+// TestWindowChunkTee: a teed recording ends where the machine's pulled
+// stream ends, not where its window filled to, so the file is
+// byte-identical at both chunk sizes.
+func TestWindowChunkTee(t *testing.T) {
+	for _, w := range []string{"gin", "chain-burst"} {
+		var files [2][]byte
+		for i, chunk := range chunks {
+			restore := sim.SetWindowChunk(chunk)
+			rc := windowRunConfig()
+			rc.RecordPath = filepath.Join(t.TempDir(), w+".hpt")
+			_, err := harness.RunUncached(w, harness.SchemeFDIP, rc)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if files[i], err = os.ReadFile(rc.RecordPath); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(files[0], files[1]) {
+			t.Errorf("%s: teed trace differs by chunk (%d bytes at the default, %d at chunk %d)",
+				w, len(files[0]), len(files[1]), minChunk)
+		}
+	}
+}

@@ -45,6 +45,13 @@ type Engine struct {
 	bodies  map[isa.FuncID][]program.Item
 	typeCum []float64
 
+	// slab holds the cached bodies back to back and expand is the
+	// scratch each body is expanded into first, so caching a body
+	// allocates only when a slab fills up. Slabs double from
+	// minBodySlab to maxBodySlab items, so short runs stay small.
+	slab   []program.Item
+	expand []program.Item
+
 	stack []frame
 
 	// Emitter state: the span of straight-line code not yet emitted.
@@ -116,6 +123,20 @@ func (e *Engine) Next() isa.BlockEvent {
 	return ev
 }
 
+// Fill writes the next len(ev) events with their request marks and
+// the request count after each (the sim.EventSource window contract).
+// The stream is unbounded, so it always fills every slot.
+func (e *Engine) Fill(ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) int {
+	req, done, reqs = req[:len(ev)], done[:len(ev)], reqs[:len(ev)]
+	for i := range ev {
+		ev[i] = e.Next()
+		req[i] = e.curReq
+		done[i] = e.curDone
+		reqs[i] = e.requests
+	}
+	return len(ev)
+}
+
 // CurrentRequest returns the id of the request the most recently
 // returned event belongs to. Ids are 0-based and contiguous.
 func (e *Engine) CurrentRequest() uint64 { return e.curReq }
@@ -129,10 +150,22 @@ func (e *Engine) body(id isa.FuncID) []program.Item {
 	if b, ok := e.bodies[id]; ok {
 		return b
 	}
-	b := program.Body(e.prog.Func(id))
+	e.expand = program.AppendBody(e.expand[:0], e.prog.Func(id))
+	n := len(e.expand)
+	if cap(e.slab)-len(e.slab) < n {
+		size := min(max(2*cap(e.slab), minBodySlab), maxBodySlab)
+		e.slab = make([]program.Item, 0, max(size, n))
+	}
+	start := len(e.slab)
+	e.slab = append(e.slab, e.expand...)
+	b := e.slab[start : start+n : start+n]
 	e.bodies[id] = b
 	return b
 }
+
+// minBodySlab and maxBodySlab bound the items one slab of the body
+// cache holds.
+const minBodySlab, maxBodySlab = 256, 4096
 
 // startRequest (re)enters the request loop root with a fresh request type.
 func (e *Engine) startRequest() {
@@ -179,7 +212,7 @@ func (e *Engine) step() {
 
 		case program.ItemLoopRun:
 			// Run [abs, abs+Bytes) with the backedge in the last slot.
-			// Trip counts are fixed per site (see program.Body), so
+			// Trip counts are fixed per site (see program.AppendBody), so
 			// history-based direction predictors can learn the exits.
 			if fr.loopLeft == 0 {
 				fr.loopLeft = it.Arg

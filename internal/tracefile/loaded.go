@@ -17,14 +17,19 @@ type Loaded struct {
 	meta       Meta
 	startInstr uint64
 	startAttrs Attrs
-	events     []isa.BlockEvent
-	attrs      []Attrs
-	// Struct-of-arrays view of the per-event request marks, built once
-	// at load time so the simulator's batch fast path reads two flat
-	// arrays instead of chasing Attrs structs per event.
-	reqID []uint64
-	done  []bool
-	term  error // terminal condition: ErrExhausted, or wraps ErrTruncated
+	endInstr   uint64 // Instructions after the last event
+	// The decoded stream in struct-of-arrays form: the events and, one
+	// column per Attrs field, the attribution sampled after each. The
+	// simulator's window reads events, requests, reqID and done in
+	// place; type and depth fit 32 bits (maxTypeValue, maxDepth).
+	events   []isa.BlockEvent
+	requests []uint64
+	reqID    []uint64
+	done     []bool
+	typ      []int32
+	depth    []int32
+	stage    []int16
+	term     error // terminal condition: ErrExhausted, or wraps ErrTruncated
 }
 
 // Load decodes an entire trace into memory. A torn tail is not an
@@ -44,29 +49,47 @@ func Load(path string) (*Loaded, error) {
 		startInstr: r.Instructions(),
 		startAttrs: r.cur,
 	}
-	if r.index != nil {
-		l.events = make([]isa.BlockEvent, 0, r.total.Events)
-		l.attrs = make([]Attrs, 0, r.total.Events)
+	if n := r.total.Events; r.index != nil {
+		l.events = make([]isa.BlockEvent, 0, n)
+		l.requests = make([]uint64, 0, n)
+		l.reqID = make([]uint64, 0, n)
+		l.done = make([]bool, 0, n)
+		l.typ = make([]int32, 0, n)
+		l.depth = make([]int32, 0, n)
+		l.stage = make([]int16, 0, n)
 	}
 	for {
 		ev := r.Next()
 		if ev.NumInstr == 0 {
 			break
 		}
+		a := &r.cur
 		l.events = append(l.events, ev)
-		l.attrs = append(l.attrs, r.cur)
+		l.requests = append(l.requests, a.Requests)
+		l.reqID = append(l.reqID, a.Request)
+		l.done = append(l.done, a.Done)
+		l.typ = append(l.typ, int32(a.Type))
+		l.depth = append(l.depth, int32(a.Depth))
+		l.stage = append(l.stage, a.Stage)
 	}
 	if errors.Is(r.Err(), ErrCorrupt) {
 		return nil, fmt.Errorf("tracefile: %s: %w", path, r.Err())
 	}
 	l.term = r.Err()
-	l.reqID = make([]uint64, len(l.events))
-	l.done = make([]bool, len(l.events))
-	for i := range l.attrs {
-		l.reqID[i] = l.attrs[i].Request
-		l.done[i] = l.attrs[i].Done
-	}
+	l.endInstr = r.Instructions()
 	return l, nil
+}
+
+// attrs reassembles the attribution sampled after event i.
+func (l *Loaded) attrs(i int) Attrs {
+	return Attrs{
+		Requests: l.requests[i],
+		Type:     int(l.typ[i]),
+		Stage:    l.stage[i],
+		Depth:    int(l.depth[i]),
+		Request:  l.reqID[i],
+		Done:     l.done[i],
+	}
 }
 
 // Meta returns the trace's identity header.
@@ -102,7 +125,7 @@ func (m *MemReader) Next() isa.BlockEvent {
 		return isa.BlockEvent{}
 	}
 	ev := m.l.events[m.pos]
-	m.cur = m.l.attrs[m.pos]
+	m.cur = m.l.attrs(m.pos)
 	m.pos++
 	m.instr += uint64(ev.NumInstr)
 	return ev
@@ -128,42 +151,31 @@ func (m *MemReader) Depth() int             { return m.cur.Depth }
 func (m *MemReader) CurrentRequest() uint64 { return m.cur.Request }
 func (m *MemReader) RequestDone() bool      { return m.cur.Done }
 
-// Batch returns the undelivered remainder of the stream as flat
-// parallel slices — the events, each event's request id, and its
-// request-done flip — satisfying sim.BatchSource. The slices alias the
-// Loaded trace and must not be mutated; a consumer that takes the batch
-// view owns the cursor and must not interleave Next calls.
-func (m *MemReader) Batch() (ev []isa.BlockEvent, req []uint64, done []bool) {
-	return m.l.events[m.pos:], m.l.reqID[m.pos:], m.l.done[m.pos:]
+// Fill writes the next events with their request marks and the request
+// count after each (the sim.EventSource window contract); it fills
+// fewer than len(ev) only when the stream ends. The simulator takes the
+// zero-copy Batch instead.
+func (m *MemReader) Fill(ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) int {
+	req, done, reqs = req[:len(ev)], done[:len(ev)], reqs[:len(ev)]
+	for i := range ev {
+		e := m.Next()
+		if e.NumInstr == 0 {
+			return i
+		}
+		ev[i], req[i], done[i], reqs[i] = e, m.cur.Request, m.cur.Done, m.cur.Requests
+	}
+	return len(ev)
 }
 
-// BatchRequests returns what Requests would read after n more events
-// had been delivered through Next — the batch consumer samples it at
-// its pull high-water for digest parity with the interface path.
-func (m *MemReader) BatchRequests(n int) uint64 {
-	i := m.pos + n
-	if i <= 0 {
-		return m.l.startAttrs.Requests
+// Batch hands over the undelivered remainder of the stream as flat
+// parallel slices — the events, each event's request id, its
+// request-done flip and the request count after it — and moves the
+// cursor to the end of the stream (the sim.BatchSource contract). The
+// slices alias the Loaded trace and must not be mutated.
+func (m *MemReader) Batch() (ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) {
+	l, p := m.l, m.pos
+	if n := len(l.events); p < n {
+		m.pos, m.instr, m.cur = n, l.endInstr, l.attrs(n-1)
 	}
-	if i > len(m.l.attrs) {
-		i = len(m.l.attrs)
-	}
-	return m.l.attrs[i-1].Requests
-}
-
-// BatchConsume advances the cursor past the first n events of the most
-// recent Batch view, as if Next had been called n times. The batch
-// consumer calls it on exhaustion so Instructions and Err report the
-// same terminal state the interface path would.
-func (m *MemReader) BatchConsume(n int) {
-	end := m.pos + n
-	if end > len(m.l.events) {
-		end = len(m.l.events)
-	}
-	for ; m.pos < end; m.pos++ {
-		m.instr += uint64(m.l.events[m.pos].NumInstr)
-	}
-	if m.pos > 0 {
-		m.cur = m.l.attrs[m.pos-1]
-	}
+	return l.events[p:], l.reqID[p:], l.done[p:], l.requests[p:]
 }

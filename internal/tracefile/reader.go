@@ -145,6 +145,21 @@ func (r *Reader) Next() isa.BlockEvent {
 	return ev
 }
 
+// Fill writes the next events with their request marks and the request
+// count after each (the sim.EventSource window contract); it fills
+// fewer than len(ev) only when the stream ends — see Err for why.
+func (r *Reader) Fill(ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) int {
+	req, done, reqs = req[:len(ev)], done[:len(ev)], reqs[:len(ev)]
+	for i := range ev {
+		e := r.Next()
+		if e.NumInstr == 0 {
+			return i
+		}
+		ev[i], req[i], done[i], reqs[i] = e, r.cur.Request, r.cur.Done, r.cur.Requests
+	}
+	return len(ev)
+}
+
 // Instructions, Requests, CurrentType, Stage, Depth, CurrentRequest and
 // RequestDone mirror the engine's sampling contract: they describe the
 // state after the most recently returned event (before any Next: the

@@ -133,9 +133,10 @@ type Attrs struct {
 	Done bool
 }
 
-// Source is the event-stream interface a Recorder tees: sim.EventSource
-// plus the sim.RequestMarker per-request marks. trace.Engine, Reader and
-// Recorder all satisfy both.
+// Source is the per-event stream a Recorder tees and Record drives:
+// Next returns one event, and the other methods describe the state
+// after it (its attribution and request marks). trace.Engine, the
+// microservice interleaver, Reader and MemReader satisfy it.
 type Source interface {
 	Next() isa.BlockEvent
 	Instructions() uint64

@@ -337,3 +337,46 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 		t.Fatalf("bad magic misreported as truncation: %v", err)
 	}
 }
+
+// TestFillMatchesEngine: the window fills of the streaming Reader and
+// of a MemReader deliver exactly the recorded stream with the engine's
+// request marks and counts, chunk boundaries falling anywhere, and come
+// up short only at the trace's clean end.
+func TestFillMatchesEngine(t *testing.T) {
+	path, _ := recordSmall(t, "gin", 100_000, 256)
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	l, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []interface {
+		Fill([]isa.BlockEvent, []uint64, []bool, []uint64) int
+		Err() error
+	}{r, l.Replay()} {
+		eng, _ := engineFor(t, "gin")
+		const chunk = 7
+		ev, req, done, reqs := make([]isa.BlockEvent, chunk), make([]uint64, chunk), make([]bool, chunk), make([]uint64, chunk)
+		events := 0
+		for {
+			n := src.Fill(ev, req, done, reqs)
+			for i := 0; i < n; i++ {
+				want := eng.Next()
+				if ev[i] != want || req[i] != eng.CurrentRequest() || done[i] != eng.RequestDone() || reqs[i] != eng.Requests() {
+					t.Fatalf("%T event %d: filled %+v (req %d done %v reqs %d), engine %+v (req %d done %v reqs %d)",
+						src, events, ev[i], req[i], done[i], reqs[i], want, eng.CurrentRequest(), eng.RequestDone(), eng.Requests())
+				}
+				events++
+			}
+			if n < chunk {
+				break
+			}
+		}
+		if !errors.Is(src.Err(), ErrExhausted) {
+			t.Fatalf("%T: short fill after %d events with Err %v, want ErrExhausted", src, events, src.Err())
+		}
+	}
+}

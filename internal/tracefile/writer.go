@@ -311,12 +311,19 @@ func decodeIndex(payload []byte) ([]frameEntry, Summary, error) {
 // Recorder tees an event source to a trace file while passing the
 // stream through unchanged: hand it to the simulator in place of the
 // engine and the run both executes live and leaves a replayable trace.
-// It satisfies Source (and sim.EventSource) itself. Write failures are
-// latched, not surfaced per event — the stream keeps flowing from the
-// live source and Finish reports the failure.
+// It satisfies sim.EventSource itself. The file holds exactly the
+// stream the simulator pulled, then a tail (see Finish), however far
+// ahead the simulator's window filled. Write failures are latched, not
+// surfaced per event — the stream keeps flowing from the live source
+// and Finish reports the failure.
 type Recorder struct {
 	src Source
 	w   *Writer
+	// The latest fill's events with their attributions, written once
+	// the consumer asks for the next fill (it has looked at every one
+	// by then) or, at Finish, as far as the consumer pulled.
+	pend      []isa.BlockEvent
+	pendAttrs []Attrs
 }
 
 // NewRecorder tees src to w (sampling src's pre-stream state — call it
@@ -349,31 +356,50 @@ func sample(src Source) Attrs {
 	}
 }
 
-// Next pulls one event from the source, recording it and the
-// attribution sampled after it.
-func (r *Recorder) Next() isa.BlockEvent {
-	ev := r.src.Next()
-	if r.w.err == nil {
-		r.w.Append(ev, sample(r.src)) //nolint:errcheck // latched in w.err, surfaced by Finish
+// Fill records the previous fill, which the consumer has consumed, and
+// pulls the next events from the source into the window slices (the
+// sim.EventSource contract), keeping them and their attributions until
+// the next Fill or Finish.
+func (r *Recorder) Fill(ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) int {
+	r.write(len(r.pend))
+	r.pend, r.pendAttrs = r.pend[:0], r.pendAttrs[:0]
+	req, done, reqs = req[:len(ev)], done[:len(ev)], reqs[:len(ev)]
+	for i := range ev {
+		e := r.src.Next()
+		if e.NumInstr == 0 {
+			return i
+		}
+		a := sample(r.src)
+		r.pend = append(r.pend, e)
+		r.pendAttrs = append(r.pendAttrs, a)
+		ev[i], req[i], done[i], reqs[i] = e, a.Request, a.Done, a.Requests
 	}
-	return ev
+	return len(ev)
 }
 
-// Instructions, Requests, CurrentType, Stage, Depth, CurrentRequest and
-// RequestDone delegate to the live source.
-func (r *Recorder) Instructions() uint64   { return r.src.Instructions() }
-func (r *Recorder) Requests() uint64       { return r.src.Requests() }
-func (r *Recorder) CurrentType() int       { return r.src.CurrentType() }
-func (r *Recorder) Stage() int16           { return r.src.Stage() }
-func (r *Recorder) Depth() int             { return r.src.Depth() }
-func (r *Recorder) CurrentRequest() uint64 { return r.src.CurrentRequest() }
-func (r *Recorder) RequestDone() bool      { return r.src.RequestDone() }
+// write records the first n pending events.
+func (r *Recorder) write(n int) {
+	for i := 0; i < n && r.w.err == nil; i++ {
+		r.w.Append(r.pend[i], r.pendAttrs[i]) //nolint:errcheck // latched in w.err, surfaced by Finish
+	}
+}
 
-// Finish pulls tail extra events from the still-live source (see
-// TailEvents) and seals the trace, returning its summary.
-func (r *Recorder) Finish(tail int) (Summary, error) {
-	for i := 0; i < tail && r.w.err == nil; i++ {
-		r.Next()
+// Instructions and Requests delegate to the live source: they describe
+// the most recently filled event.
+func (r *Recorder) Instructions() uint64 { return r.src.Instructions() }
+func (r *Recorder) Requests() uint64     { return r.src.Requests() }
+
+// Finish ends the recording where the consumer's pulled stream ends —
+// unpulled is how many events of the latest fill it never looked at
+// (sim.Machine.Unpulled) — then appends tail more events of the stream
+// (see TailEvents), starting with those unpulled ones, and seals the
+// trace, returning its summary.
+func (r *Recorder) Finish(unpulled, tail int) (Summary, error) {
+	total := max(len(r.pend)-unpulled, 0) + tail
+	keep := min(len(r.pend), total)
+	r.write(keep)
+	for i := keep; i < total && r.w.err == nil; i++ {
+		r.w.Append(r.src.Next(), sample(r.src)) //nolint:errcheck // latched in w.err
 	}
 	err := r.w.Close()
 	return r.w.Summary(), err
@@ -397,7 +423,7 @@ func Record(path string, src Source, meta Meta, minInstructions uint64, tail int
 		return Summary{}, err
 	}
 	for src.Instructions() < minInstructions && rec.w.err == nil {
-		rec.Next()
+		rec.w.Append(src.Next(), sample(src)) //nolint:errcheck // latched in w.err, surfaced by Finish
 	}
-	return rec.Finish(tail)
+	return rec.Finish(0, tail)
 }

@@ -26,11 +26,13 @@ import (
 )
 
 // Engine is the event-stream interface a workload's engine produces:
-// sim.EventSource plus the sim.RequestMarker per-request marks.
-// trace.Engine satisfies it; registered workloads may substitute their
-// own implementation (e.g. the microservice interleaver).
+// the per-event tracefile.Source view (Next and the attribution after
+// each event) plus the sim.EventSource window Fill. trace.Engine
+// satisfies it; registered workloads may substitute their own
+// implementation (e.g. the microservice interleaver).
 type Engine interface {
 	Next() isa.BlockEvent
+	Fill(ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) int
 	Instructions() uint64
 	Requests() uint64
 	CurrentType() int
