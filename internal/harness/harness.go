@@ -420,7 +420,12 @@ func runOne(ctx context.Context, workload string, scheme Scheme, rc RunConfig) (
 		src = rec
 		traceSource = "record"
 	default:
-		src = built.EngineOver(ld)
+		// Interpret the program on a second goroutine while the machine
+		// simulates. The tee above stays direct: a Recorder relies on
+		// each Fill proving the previous one was consumed.
+		ra := sim.NewReadAhead(built.EngineOver(ld), rc.WarmInstr+rc.MeasureInstr)
+		defer ra.Close()
+		src = ra
 	}
 
 	prm := rc.Params

@@ -1,8 +1,11 @@
 package sim_test
 
 import (
+	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"hprefetch/internal/isa"
 	_ "hprefetch/internal/microsvc" // registers chain-burst
@@ -59,8 +62,10 @@ func steadyAllocs(t *testing.T, src sim.EventSource, pf func(*sim.Machine) prefe
 
 // TestSteadyStateRunAllocatesNothing pins the single event path as
 // allocation-free: once warm, a Run over a live engine (refilling the
-// machine's window) or a replayed trace (one zero-copy window) must not
-// allocate at all.
+// machine's window), over a live engine read ahead (recycling chunks
+// between two goroutines, or filling inline once the budget is spent)
+// or over a replayed trace (one zero-copy window) must not allocate at
+// all.
 func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 	for _, w := range []string{"gin", "chain-burst"} {
 		built, err := workloads.Build(w)
@@ -70,15 +75,57 @@ func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 		loaded := recordReplay(t, w, built)
 		for _, c := range []struct {
 			name string
-			src  sim.EventSource
+			src  func() sim.EventSource
 		}{
-			{"live", built.NewEngine()},
-			{"replay", loaded.Replay()},
+			{"live", func() sim.EventSource { return built.NewEngine() }},
+			{"live read-ahead", func() sim.EventSource { return sim.NewReadAhead(built.NewEngine(), math.MaxUint64) }},
+			{"live read-ahead past its budget", func() sim.EventSource { return sim.NewReadAhead(built.NewEngine(), allocWarm/2) }},
+			{"replay", func() sim.EventSource { return loaded.Replay() }},
 		} {
-			if a, _ := steadyAllocs(t, c.src, nil); a != 0 {
+			src := c.src()
+			if a, _ := steadyAllocs(t, src, nil); a != 0 {
 				t.Errorf("%s/FDIP/%s: %.1f allocations per %d-instruction Run, want 0", w, c.name, a, allocRun)
 			}
+			if ra, ok := src.(*sim.ReadAhead); ok {
+				ra.Close()
+			}
 		}
+	}
+}
+
+// TestReadAheadRecyclesChunks: a ReadAhead takes its chunks from the
+// ones the last one closed, so starting and closing one allocates a
+// small fraction of a chunk set.
+func TestReadAheadRecyclesChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops recycled chunks at random under -race")
+	}
+	built, err := workloads.Build("gin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := built.NewEngine()
+	ra := sim.NewReadAhead(eng, math.MaxUint64)
+	m, err := sim.New(sim.DefaultParams(), ra, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(allocWarm); err != nil {
+		t.Fatal(err)
+	}
+	ra.Close()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	const cycles = 20
+	for range cycles {
+		// Each producer fills one chunk of the warm engine and stops.
+		sim.NewReadAhead(eng, eng.Instructions()+1).Close()
+	}
+	runtime.ReadMemStats(&ms)
+	chunkSet := uint64(3 * sim.DefaultReadAheadChunk * (unsafe.Sizeof(isa.BlockEvent{}) + 8 + 1 + 8))
+	if per := (ms.TotalAlloc - before) / cycles; per > chunkSet/16 {
+		t.Errorf("a ReadAhead started and closed allocates %d bytes, want at most %d (1/16 of its chunks)", per, chunkSet/16)
 	}
 }
 

@@ -20,3 +20,17 @@ func SetWindowChunk(n int) (restore func()) {
 // contiguous run of the stream ending at the last event taken from the
 // source.
 func (m *Machine) Window() []isa.BlockEvent { return m.win.ev }
+
+// SetReadAhead makes every ReadAhead built after the call read its
+// source ahead in chunks of chunk events (on), or read it on the
+// machine's goroutine from the start, as a direct run would (off). It
+// returns a func that restores both. Boundary tests shrink the chunk to
+// put a chunk boundary at every lookahead position.
+func SetReadAhead(on bool, chunk int) (restore func()) {
+	oldInline, oldChunk := readAheadInline, readAheadChunk
+	readAheadInline, readAheadChunk = !on, chunk
+	return func() { readAheadInline, readAheadChunk = oldInline, oldChunk }
+}
+
+// DefaultReadAheadChunk is the read-ahead chunk outside boundary tests.
+const DefaultReadAheadChunk = defaultReadAheadChunk

@@ -76,6 +76,9 @@ type Machine struct {
 	haveLast     bool
 	nextPFSlot   uint64
 	missLatEst   uint64
+	// fetchScale is the scaled front-end time to fetch one instruction,
+	// CycleScale/FetchWidth (New rejects widths that leave a remainder).
+	fetchScale uint64
 
 	// Lookahead window over the event stream: win.ev[bpos:] are events
 	// taken from the source but not yet fetched, and the first predOff
@@ -200,6 +203,7 @@ func New(prm Params, src EventSource, pf prefetch.Prefetcher) (*Machine, error) 
 		itlb:       itlb,
 		mshr:       cache.NewMSHRFile(prm.MSHRs),
 		missLatEst: prm.LLCLatency * CycleScale,
+		fetchScale: CycleScale / uint64(prm.FetchWidth),
 		reqBase:    src.Requests(),
 		reqStall:   make(map[uint64]uint64),
 		pfQueue:    make([]pfReq, max(prm.PFQueueEntries, 0)),
@@ -573,7 +577,7 @@ func (m *Machine) fetch(ev *isa.BlockEvent, wasInFTQ bool) {
 
 	// Fetch throughput on the front-end clock; the back-end's base CPI
 	// accrues on its own account.
-	m.now += uint64(ev.NumInstr) * CycleScale / uint64(m.prm.FetchWidth)
+	m.now += uint64(ev.NumInstr) * m.fetchScale
 	m.backendExtra += uint64(ev.NumInstr) * m.prm.BaseCPIUnits
 	m.st.Instructions += uint64(ev.NumInstr)
 

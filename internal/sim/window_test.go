@@ -2,8 +2,11 @@ package sim_test
 
 // Window-boundary tests: the machine's lookahead window refills in
 // chunks, and shrinking the chunk to FTQEntries+2 puts a refill at every
-// lookahead position the cycle loop can reach. Nothing observable may
-// depend on where the refills fall.
+// lookahead position the cycle loop can reach. A live engine read ahead
+// (sim.ReadAhead) arrives in chunks of its own, and one-event chunks put
+// a chunk boundary at every position too. Nothing observable may depend
+// on where the refills or the chunks fall, or on whether the engine is
+// read ahead.
 
 import (
 	"bytes"
@@ -36,54 +39,72 @@ func windowRunConfig() harness.RunConfig {
 	return rc
 }
 
-// digestBothChunks runs one harness configuration at the default chunk
-// and at minChunk and fails unless the stats digests agree.
-func digestBothChunks(t *testing.T, name, workload string, scheme harness.Scheme, rc harness.RunConfig) {
+// layouts are the ways the digest tests lay a live run's stream out:
+// the window chunk, and whether and in what chunks the engine is read
+// ahead. The first, the default window read directly, is the reference.
+var layouts = []struct {
+	name      string
+	window    int
+	readAhead bool
+	chunk     int
+}{
+	{"the default window", sim.DefaultWindowChunk, false, sim.DefaultReadAheadChunk},
+	{fmt.Sprintf("window chunk %d", minChunk), minChunk, false, sim.DefaultReadAheadChunk},
+	{"read-ahead", sim.DefaultWindowChunk, true, sim.DefaultReadAheadChunk},
+	{"read-ahead chunk 1", sim.DefaultWindowChunk, true, 1},
+}
+
+// digestLayouts runs one harness configuration in every layout and
+// fails unless the stats digests agree.
+func digestLayouts(t *testing.T, name, workload string, scheme harness.Scheme, rc harness.RunConfig) {
 	t.Helper()
-	var digests [2]string
-	for i, chunk := range chunks {
-		restore := sim.SetWindowChunk(chunk)
+	var want string
+	for i, l := range layouts {
+		restoreWindow := sim.SetWindowChunk(l.window)
+		restoreReadAhead := sim.SetReadAhead(l.readAhead, l.chunk)
 		res, err := harness.RunUncached(workload, scheme, rc)
-		restore()
+		restoreReadAhead()
+		restoreWindow()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s with %s: %v", name, l.name, err)
 		}
-		digests[i] = res.Stats.Digest()
-	}
-	if digests[0] != digests[1] {
-		t.Errorf("%s: digest %s at chunk %d, %s at the default chunk", name, digests[1], minChunk, digests[0])
+		if got := res.Stats.Digest(); i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("%s: digest %s with %s, %s with %s", name, got, l.name, want, layouts[0].name)
+		}
 	}
 }
 
 // TestWindowChunkGoldenSchemes: the golden scheme set on gin and
-// chain-burst measures the same at the smallest chunk as at the default.
+// chain-burst measures the same in every layout.
 func TestWindowChunkGoldenSchemes(t *testing.T) {
 	schemes := append(harness.Schemes(), harness.SchemePerfect, harness.SchemeGHB, harness.SchemeGHBTLB)
 	for _, w := range []string{"gin", "chain-burst"} {
 		for _, s := range schemes {
-			digestBothChunks(t, w+"/"+string(s), w, s, windowRunConfig())
+			digestLayouts(t, w+"/"+string(s), w, s, windowRunConfig())
 		}
 	}
 }
 
-// TestWindowChunkSampled: SkipFunctional sections cross refills (every
-// skip spans thousands of minChunk windows) without changing a sampled
-// run's statistics.
+// TestWindowChunkSampled: SkipFunctional sections cross refills and
+// read-ahead chunks (every skip spans thousands of minChunk windows)
+// without changing a sampled run's statistics.
 func TestWindowChunkSampled(t *testing.T) {
 	rc := windowRunConfig()
 	rc.Sample = harness.SampleSpec{WarmInstr: 20_000, MeasureInstr: 30_000, SkipInstr: 60_000, Seed: 3}
 	for _, w := range []string{"gin", "chain-burst"} {
-		digestBothChunks(t, w+"/sampled", w, harness.SchemeHier, rc)
+		digestLayouts(t, w+"/sampled", w, harness.SchemeHier, rc)
 	}
 }
 
-// TestWindowChunkTagFlip: tag-flip fault injection measures the same at
-// both chunk sizes.
+// TestWindowChunkTagFlip: tag-flip fault injection measures the same in
+// every layout.
 func TestWindowChunkTagFlip(t *testing.T) {
 	rc := windowRunConfig()
 	rc.Fault = fault.Config{Class: fault.ClassTagFlip, Rate: 0.01, Seed: 7}
 	for _, w := range []string{"gin", "chain-burst"} {
-		digestBothChunks(t, w+"/tag-flip", w, harness.SchemeHier, rc)
+		digestLayouts(t, w+"/tag-flip", w, harness.SchemeHier, rc)
 	}
 }
 
@@ -176,15 +197,16 @@ func TestTagFlipNeverTouchesWindow(t *testing.T) {
 	}
 }
 
-// TestWindowChunkTruncatedStream: a torn trace read through the
-// streaming Reader fails at both chunk sizes with the same error, which
-// names the instructions of the intact prefix and wraps ErrTruncated.
-func TestWindowChunkTruncatedStream(t *testing.T) {
+// tornTrace records a gin trace, cuts off its last two fifths and
+// returns the path with the prefix of the error a machine reading it to
+// its end must report: the instructions of the intact prefix.
+func tornTrace(t *testing.T) (path, prefix string) {
+	t.Helper()
 	built, err := workloads.Build("gin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "gin.hpt")
+	path = filepath.Join(t.TempDir(), "gin.hpt")
 	meta := tracefile.Meta{Workload: "gin", Seed: built.Workload.TraceSeed, TargetInstructions: 300_000}
 	if _, err := tracefile.Record(path, built.NewEngine(), meta, 300_000, tracefile.TailEvents, tracefile.Options{FrameEvents: 256}); err != nil {
 		t.Fatal(err)
@@ -205,8 +227,14 @@ func TestWindowChunkTruncatedStream(t *testing.T) {
 	for r.Next().NumInstr != 0 {
 	}
 	r.Close()
-	prefix := fmt.Sprintf("sim: event stream ended after %d instructions: ", r.Instructions())
+	return path, fmt.Sprintf("sim: event stream ended after %d instructions: ", r.Instructions())
+}
 
+// TestWindowChunkTruncatedStream: a torn trace read through the
+// streaming Reader fails at both chunk sizes with the same error, which
+// names the instructions of the intact prefix and wraps ErrTruncated.
+func TestWindowChunkTruncatedStream(t *testing.T) {
+	path, prefix := tornTrace(t)
 	var msgs [2]string
 	for i, chunk := range chunks {
 		restore := sim.SetWindowChunk(chunk)
