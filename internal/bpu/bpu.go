@@ -80,9 +80,7 @@ func New(cfg Config) *Unit {
 		u.btbCnt = make([]uint8, u.btbSets)
 	}
 	u.dir = make([]uint8, 1<<cfg.GshareBits)
-	for i := range u.dir {
-		u.dir[i] = 2 // weakly taken
-	}
+	weaklyTaken(u.dir)
 	u.dirMask = uint64(len(u.dir) - 1)
 	u.indTag = make([]uint64, cfg.IndirectEntries)
 	u.indTgt = make([]isa.Addr, cfg.IndirectEntries)
@@ -90,6 +88,34 @@ func New(cfg Config) *Unit {
 	u.indMsk = uint64(cfg.IndirectEntries - 1)
 	u.histMask = (1 << cfg.HistoryBits) - 1
 	return u
+}
+
+// Reset returns the unit to the state New builds it in: an empty BTB,
+// every direction counter weakly taken and an empty indirect table. BTB
+// slots past a set's occupancy keep stale entries, which no lookup
+// reads.
+func (u *Unit) Reset() {
+	if u.btbInf != nil {
+		clear(u.btbInf)
+	} else {
+		clear(u.btbCnt)
+	}
+	weaklyTaken(u.dir)
+	clear(u.indTag)
+	clear(u.indTgt)
+	clear(u.indCnt)
+}
+
+// weaklyTaken sets every counter in dir to 2, doubling the filled
+// prefix with each copy.
+func weaklyTaken(dir []uint8) {
+	if len(dir) == 0 {
+		return
+	}
+	dir[0] = 2
+	for n := 1; n < len(dir); n *= 2 {
+		copy(dir[n:], dir[:n])
+	}
 }
 
 // History is a global branch-history register. The front-end maintains a
@@ -252,6 +278,12 @@ type RAS struct {
 // NewRAS builds a stack of the given depth.
 func NewRAS(depth int) *RAS {
 	return &RAS{buf: make([]isa.Addr, depth)}
+}
+
+// Reset empties the stack. Slots keep stale addresses, which no Pop or
+// Peek reads.
+func (r *RAS) Reset() {
+	r.top, r.len = 0, 0
 }
 
 // Push records a call's return address.

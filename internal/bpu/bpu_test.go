@@ -1,7 +1,9 @@
 package bpu
 
 import (
+	"reflect"
 	"testing"
+	"testing/quick"
 
 	"hprefetch/internal/isa"
 	"hprefetch/internal/xrand"
@@ -221,5 +223,98 @@ func TestHistoryUpdate(t *testing.T) {
 	}
 	if h.UpdatePath(0x40000) == h {
 		t.Error("path update must change history")
+	}
+}
+
+// unitOps applies one operation per word of ops to u and returns every
+// prediction it makes. PCs, histories and targets range over few
+// values, so a small unit sees BTB hits and evictions, counters
+// saturating both ways and indirect entries replaced.
+func unitOps(u *Unit, ops []uint32) []any {
+	var out []any
+	for _, op := range ops {
+		pc := isa.Addr(op>>3%64) << 2
+		h := History(op >> 9 % 64)
+		tgt := isa.Addr(op>>15%8) << 6
+		switch op % 6 {
+		case 0:
+			out = append(out, u.PredictDir(pc, h))
+		case 1:
+			u.TrainDir(pc, h, op>>18&1 == 1)
+		case 2:
+			got, ok := u.BTBLookup(pc)
+			out = append(out, got, ok)
+		case 3:
+			u.BTBInsert(pc, tgt)
+		case 4:
+			got, ok := u.PredictIndirect(pc, h)
+			out = append(out, got, ok)
+		case 5:
+			u.TrainIndirect(pc, h, tgt)
+		}
+	}
+	return out
+}
+
+// TestUnitResetEqualsFresh: whatever a unit went through, Reset leaves
+// it predicting exactly as a newly built unit does, with a finite BTB
+// and an infinite one.
+func TestUnitResetEqualsFresh(t *testing.T) {
+	cfg := Config{BTBEntries: 16, BTBWays: 4, GshareBits: 5, HistoryBits: 4, IndirectEntries: 8, RASDepth: 4}
+	for _, inf := range []bool{false, true} {
+		cfg.BTBInfinite = inf
+		f := func(dirty, probe []uint32) bool {
+			used := New(cfg)
+			unitOps(used, dirty)
+			used.Reset()
+			return reflect.DeepEqual(unitOps(used, probe), unitOps(New(cfg), probe))
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("BTBInfinite=%v: %v", inf, err)
+		}
+	}
+}
+
+// rasOps drives an architectural and a speculative stack the way the
+// front-end does, pushes and pops on both and the speculative one
+// repaired from the architectural one, and returns every prediction.
+func rasOps(arch, spec *RAS, ops []uint32) []any {
+	var out []any
+	for _, op := range ops {
+		ret := isa.Addr(op >> 3)
+		s := arch
+		if op>>31 == 1 {
+			s = spec
+		}
+		switch op % 4 {
+		case 0:
+			s.Push(ret)
+		case 1:
+			got, ok := s.Pop()
+			out = append(out, got, ok)
+		case 2:
+			got, ok := s.Peek()
+			out = append(out, got, ok)
+		case 3:
+			spec.CopyFrom(arch)
+		}
+		out = append(out, arch.Depth(), spec.Depth())
+	}
+	return out
+}
+
+// TestRASResetEqualsFresh: whatever two stacks went through, Reset
+// leaves them predicting exactly as newly built stacks do.
+func TestRASResetEqualsFresh(t *testing.T) {
+	const depth = 4
+	f := func(dirty, probe []uint32) bool {
+		arch, spec := NewRAS(depth), NewRAS(depth)
+		rasOps(arch, spec, dirty)
+		arch.Reset()
+		spec.Reset()
+		return reflect.DeepEqual(rasOps(arch, spec, probe), rasOps(NewRAS(depth), NewRAS(depth), probe))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }

@@ -216,7 +216,9 @@ func (t *Table) touch(base, way int) {
 	t.meta[base] = m
 }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics, leaving the table as New
+// builds it: slots past each set's occupancy keep stale lines, which no
+// operation reads.
 func (t *Table) Reset() {
 	clear(t.cnt)
 	t.Hits, t.Misses = 0, 0
@@ -381,7 +383,8 @@ func earlier(a, b *MSHR) bool {
 	return a.Block < b.Block
 }
 
-// Reset clears all entries.
+// Reset clears all entries, leaving the file as NewMSHRFile builds it:
+// slots outside the occupancy mask are never read.
 func (m *MSHRFile) Reset() {
 	clear(m.live)
 	m.n = 0

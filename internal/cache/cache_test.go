@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -366,5 +367,106 @@ func TestMSHRAddErrors(t *testing.T) {
 	}
 	if e, ok := m2.Lookup(3); !ok || e.FillAt != 7 {
 		t.Error("duplicate Add clobbered the original entry")
+	}
+}
+
+// tableOps applies one operation per word of ops to tab and returns
+// every observable result, ending with the hit and miss counters. Keys
+// range over 32 values, so a small table sees hits, evictions and
+// invalidations; a Lookup hit may mark its line used, as a demand fetch
+// does.
+func tableOps(tab *Table, ops []uint32) []any {
+	var out []any
+	for _, op := range ops {
+		key := uint64(op>>3) % 32
+		switch op % 5 {
+		case 0:
+			meta, ok := tab.Lookup(key)
+			if ok {
+				out = append(out, *meta)
+				meta.Used = meta.Used || op>>8&1 == 1
+			}
+			out = append(out, ok)
+		case 1:
+			out = append(out, tab.Contains(key))
+		case 2:
+			meta, ok := tab.Peek(key)
+			if ok {
+				out = append(out, *meta)
+			}
+			out = append(out, ok)
+		case 3:
+			meta := LineMeta{Origin: Origin(op >> 8 % 3), Used: op>>10&1 == 1, IssueSeq: uint64(op >> 11)}
+			k, m, evicted := tab.Insert(key, meta)
+			out = append(out, k, m, evicted)
+		case 4:
+			m, ok := tab.Invalidate(key)
+			out = append(out, m, ok)
+		}
+	}
+	return append(out, tab.Hits, tab.Misses)
+}
+
+// TestTableResetEqualsFresh: whatever a table went through, Reset
+// leaves it answering every later operation exactly as a newly built
+// table does.
+func TestTableResetEqualsFresh(t *testing.T) {
+	cfg := Config{Name: "r", Sets: 4, Ways: 3}
+	f := func(dirty, probe []uint32) bool {
+		used := mustNew(t, cfg)
+		tableOps(used, dirty)
+		used.Reset()
+		return reflect.DeepEqual(tableOps(used, probe), tableOps(mustNew(t, cfg), probe))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// mshrOps applies one operation per word of ops to m on a clock that
+// advances by up to 3 per operation, and returns every observable
+// result: Add errors by kind, Lookup hits, the drain order, occupancy.
+func mshrOps(m *MSHRFile, ops []uint32) []any {
+	var out []any
+	var now uint64
+	for _, op := range ops {
+		now += uint64(op>>13) % 4
+		blk := isa.Block(op>>2) % 96
+		switch op % 4 {
+		case 0:
+			err := m.Add(&MSHR{Block: blk, FillAt: now + uint64(op>>7)%32, Origin: Origin(op >> 15 % 3), IssueSeq: now})
+			out = append(out, errors.Is(err, ErrMSHROverflow), errors.Is(err, ErrMSHRDuplicate))
+		case 1:
+			m.Remove(blk)
+		case 2:
+			e, ok := m.Lookup(blk)
+			if ok {
+				out = append(out, *e)
+			}
+			out = append(out, ok)
+		case 3:
+			var drained []MSHR
+			m.Drain(now, func(e *MSHR) { drained = append(drained, *e) })
+			out = append(out, drained)
+		}
+		out = append(out, m.Len(), m.Full())
+	}
+	return out
+}
+
+// TestMSHRResetEqualsFresh: whatever a file went through, Reset leaves
+// it answering every later operation exactly as a newly built file
+// does, with an occupancy mask of one word and of two.
+func TestMSHRResetEqualsFresh(t *testing.T) {
+	for _, capacity := range []int{5, 70} {
+		f := func(dirty, probe []uint32) bool {
+			used := NewMSHRFile(capacity)
+			mshrOps(used, dirty)
+			used.Reset()
+			return reflect.DeepEqual(mshrOps(used, probe), mshrOps(NewMSHRFile(capacity), probe))
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("capacity %d: %v", capacity, err)
+		}
 	}
 }

@@ -3,13 +3,18 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
+
+	"hprefetch/internal/tracefile"
+	"hprefetch/internal/workloads"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_digests.json from the current behaviour")
@@ -58,20 +63,53 @@ func goldenMatrix(t *testing.T) []goldenEntry {
 	var out []goldenEntry
 	for _, w := range rc.Workloads {
 		for _, s := range goldenSchemes() {
-			res, err := runOne(context.Background(), w, s, rc)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", w, s, err)
-			}
-			out = append(out, goldenEntry{
-				Workload:       w,
-				Scheme:         string(s),
-				Digest:         res.Stats.Digest(),
-				IPC:            fmt.Sprintf("%.6f", res.Stats.IPC()),
-				PFLateFraction: fmt.Sprintf("%.6f", res.Stats.PFLateFraction()),
-			})
+			out = append(out, goldenRun(t, w, s, rc))
 		}
 	}
 	return out
+}
+
+// goldenRun simulates one (workload, scheme) pair with a fresh machine
+// and returns its fingerprint.
+func goldenRun(t *testing.T, w string, s Scheme, rc RunConfig) goldenEntry {
+	t.Helper()
+	res, err := runOne(context.Background(), w, s, rc)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", w, s, err)
+	}
+	return goldenEntry{
+		Workload:       w,
+		Scheme:         string(s),
+		Digest:         res.Stats.Digest(),
+		IPC:            fmt.Sprintf("%.6f", res.Stats.IPC()),
+		PFLateFraction: fmt.Sprintf("%.6f", res.Stats.PFLateFraction()),
+	}
+}
+
+// readGoldens returns the committed fingerprints.
+func readGoldens(t *testing.T) []goldenEntry {
+	t.Helper()
+	data, err := os.ReadFile(filepath.FromSlash(goldenPath))
+	if err != nil {
+		t.Fatalf("reading goldens (refresh with -update): %v", err)
+	}
+	var want []goldenEntry
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("parsing %s: %v", goldenPath, err)
+	}
+	return want
+}
+
+// goldenFor returns the committed fingerprint of one pair.
+func goldenFor(t *testing.T, goldens []goldenEntry, w string, s Scheme) goldenEntry {
+	t.Helper()
+	for _, e := range goldens {
+		if e.Workload == w && e.Scheme == string(s) {
+			return e
+		}
+	}
+	t.Fatalf("no golden for %s/%s", w, s)
+	return goldenEntry{}
 }
 
 // TestGoldenDigestMatrix locks the simulator's observable behaviour to
@@ -91,14 +129,7 @@ func TestGoldenDigestMatrix(t *testing.T) {
 		t.Logf("rewrote %s with %d entries", goldenPath, len(got))
 		return
 	}
-	data, err := os.ReadFile(filepath.FromSlash(goldenPath))
-	if err != nil {
-		t.Fatalf("reading goldens (refresh with -update): %v", err)
-	}
-	var want []goldenEntry
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parsing %s: %v", goldenPath, err)
-	}
+	want := readGoldens(t)
 	if len(got) != len(want) {
 		t.Fatalf("matrix size %d, goldens have %d entries; refresh with -update", len(got), len(want))
 	}
@@ -122,6 +153,79 @@ func TestGoldenDigestMatrix(t *testing.T) {
 	if !anyLate {
 		t.Error("no golden run reports a late prefetch; PFLateFraction is dead again")
 	}
+}
+
+// TestGoldenDigestsOnRecycledTables: a run takes its machine's tables
+// from the one released before it, so no digest may depend on what ran
+// first. The matrix runs in an order where each run follows another
+// scheme on another workload, with a run of another table shape (the
+// Table 3 64 KB L1-I) halfway, and every digest must equal its golden.
+func TestGoldenDigestsOnRecycledTables(t *testing.T) {
+	goldens := readGoldens(t)
+	rc := goldenRunConfig()
+	schemes := goldenSchemes()
+	ws, n := len(rc.Workloads), len(rc.Workloads)*len(schemes)
+	seen := map[goldenEntry]bool{}
+	for k := range n {
+		if k == n/2 {
+			big := rc
+			big.Params.L1ISets *= 2
+			goldenRun(t, "gin", SchemeHier, big)
+		}
+		w, s := rc.Workloads[k%ws], schemes[k%len(schemes)]
+		want := goldenFor(t, goldens, w, s)
+		if seen[want] {
+			t.Fatalf("the order repeats %s/%s before covering the matrix", w, s)
+		}
+		seen[want] = true
+		if got := goldenRun(t, w, s, rc); got != want {
+			t.Errorf("%s/%s on recycled tables:\n  golden: %+v\n  got:    %+v", w, s, want, got)
+		}
+	}
+}
+
+// TestGoldenDigestAfterFailedRun: a run that fails partway releases
+// tables in whatever state it left them, and the clean run after it
+// must still match its golden.
+func TestGoldenDigestAfterFailedRun(t *testing.T) {
+	goldens := readGoldens(t)
+	rc := goldenRunConfig()
+	torn := rc
+	torn.TracePath = tornGoldenTrace(t, "gin", rc)
+	_, err := runOne(context.Background(), "gin", SchemeHier, torn)
+	if !errors.Is(err, tracefile.ErrTruncated) || !strings.Contains(err.Error(), "measure") {
+		t.Fatalf("replay of a torn trace: err = %v, want ErrTruncated during the measure window", err)
+	}
+	for _, s := range []Scheme{SchemeEIP, SchemeHier} {
+		if got, want := goldenRun(t, "gin", s, rc), goldenFor(t, goldens, "gin", s); got != want {
+			t.Errorf("gin/%s after a failed run:\n  golden: %+v\n  got:    %+v", s, want, got)
+		}
+	}
+}
+
+// tornGoldenTrace records w's trace for rc's window in frames of 256
+// events and cuts the file at three fifths of its bytes, so a replay
+// fails with ErrTruncated partway through.
+func tornGoldenTrace(t *testing.T, w string, rc RunConfig) string {
+	t.Helper()
+	built, err := workloads.Build(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), w+TraceExt)
+	target := rc.WarmInstr + rc.MeasureInstr
+	meta := tracefile.Meta{Workload: w, Seed: built.Workload.TraceSeed, TargetInstructions: target}
+	if _, err := tracefile.Record(path, built.NewEngine(), meta, target, tracefile.TailEvents, tracefile.Options{FrameEvents: 256}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)*3/5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestRunOneFullStatsDeterministic is the cross-process stand-in: two

@@ -436,6 +436,7 @@ func runOne(ctx context.Context, workload string, scheme Scheme, rc RunConfig) (
 	if err != nil {
 		return nil, err
 	}
+	defer m.Release()
 	if inj != nil {
 		m.SetFaults(inj)
 	}

@@ -288,17 +288,22 @@ func (j *Job) retryReset(cause string, backoff time.Duration) bool {
 }
 
 // finish moves the job to a terminal state, reporting whether this call
-// performed the transition (false when already terminal — callers use
-// that to count each outcome exactly once).
-func (j *Job) finish(state JobState, errMsg string) bool {
+// performed the transition (false when already terminal). count, when
+// not nil, runs only if it did, and before the job is published as
+// terminal: whoever sees the job finished (a poll, a woken long-poll)
+// also sees it counted, and each outcome is counted exactly once.
+func (j *Job) finish(state JobState, errMsg string, count func()) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.finishLocked(state, errMsg)
+	return j.finishLocked(state, errMsg, count)
 }
 
-func (j *Job) finishLocked(state JobState, errMsg string) bool {
+func (j *Job) finishLocked(state JobState, errMsg string, count func()) bool {
 	if j.state.Terminal() {
 		return false
+	}
+	if count != nil {
+		count()
 	}
 	j.state = state
 	j.err = errMsg
@@ -314,8 +319,8 @@ type cancelOutcome int
 const (
 	// cancelNoop: the job was already terminal.
 	cancelNoop cancelOutcome = iota
-	// cancelledQueued: the job never ran; it is terminal now and the
-	// caller owns the metrics increment.
+	// cancelledQueued: the job never ran; it is terminal now, counted
+	// by requestCancel's count.
 	cancelledQueued
 	// cancellingRunning: the running job's context was cancelled; the
 	// worker finishes (and counts) it when the simulator notices.
@@ -324,8 +329,9 @@ const (
 
 // requestCancel asks the job to stop. A queued job goes terminal
 // immediately (its worker will skip it); a running job gets its context
-// cancelled and finishes cooperatively.
-func (j *Job) requestCancel() cancelOutcome {
+// cancelled and finishes cooperatively. count runs as finish runs it
+// when a queued job goes terminal.
+func (j *Job) requestCancel(count func()) cancelOutcome {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -333,7 +339,7 @@ func (j *Job) requestCancel() cancelOutcome {
 	}
 	j.cancelRequested = true
 	if j.state == JobQueued {
-		j.finishLocked(JobCanceled, "canceled while queued")
+		j.finishLocked(JobCanceled, "canceled while queued", count)
 		return cancelledQueued
 	}
 	if j.cancel != nil {

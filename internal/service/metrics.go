@@ -94,6 +94,11 @@ func NewMetrics() *Metrics {
 	return &Metrics{hist: map[string]*histogram{}}
 }
 
+// countFailed and countCanceled count one terminal outcome; Job.finish
+// runs them before it publishes the job as terminal.
+func (m *Metrics) countFailed()   { m.Failed.Add(1) }
+func (m *Metrics) countCanceled() { m.Canceled.Add(1) }
+
 // ObserveLatency records a completed job's execution latency.
 func (m *Metrics) ObserveLatency(label string, ms float64) {
 	m.mu.Lock()

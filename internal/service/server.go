@@ -215,10 +215,9 @@ func New(cfg Config) (*Server, error) {
 					state: JobQueued, attempts: rj.Attempts,
 					submitted: time.Now(), done: make(chan struct{}),
 				}
-				dead.finish(JobFailed, fmt.Sprintf("journal replay: %v", err))
+				dead.finish(JobFailed, fmt.Sprintf("journal replay: %v", err), s.metrics.countFailed)
 				s.store.put(dead)
 				s.journalFinish(dead)
-				s.metrics.Failed.Add(1)
 				continue
 			}
 			s.store.put(j)
@@ -301,9 +300,7 @@ func (s *Server) Close() {
 		// right here.
 		for _, v := range s.store.list() {
 			if j, ok := s.store.get(v.ID); ok {
-				if j.requestCancel() == cancelledQueued {
-					s.metrics.Canceled.Add(1)
-				}
+				j.requestCancel(s.metrics.countCanceled)
 			}
 		}
 	})
@@ -313,9 +310,7 @@ func (s *Server) Close() {
 	for {
 		select {
 		case j := <-s.queue:
-			if j.finish(JobCanceled, "server closed") {
-				s.metrics.Canceled.Add(1)
-			}
+			j.finish(JobCanceled, "server closed", s.metrics.countCanceled)
 		default:
 			if s.journal != nil {
 				s.journal.Close() //nolint:errcheck // sticky error already counted
@@ -391,17 +386,17 @@ func (s *Server) execute(j *Job, started time.Time) {
 func (s *Server) settle(j *Job, err error, started time.Time) {
 	switch {
 	case err == nil:
-		if j.finish(JobDone, "") {
-			s.journalFinish(j)
+		if j.finish(JobDone, "", func() {
 			s.metrics.Completed.Add(1)
-			s.breaker.Record(false)
 			s.metrics.ObserveLatency(j.latencyLabel(), float64(time.Since(started).Microseconds())/1000)
+		}) {
+			s.journalFinish(j)
+			s.breaker.Record(false)
 		}
 		return
 	case errors.Is(err, context.Canceled):
-		if j.finish(JobCanceled, err.Error()) {
+		if j.finish(JobCanceled, err.Error(), s.metrics.countCanceled) {
 			s.journalFinish(j)
-			s.metrics.Canceled.Add(1)
 		}
 		return
 	}
@@ -412,9 +407,8 @@ func (s *Server) settle(j *Job, err error, started time.Time) {
 			return
 		}
 	}
-	if j.finish(JobFailed, err.Error()) {
+	if j.finish(JobFailed, err.Error(), s.metrics.countFailed) {
 		s.journalFinish(j)
-		s.metrics.Failed.Add(1)
 		s.breaker.Record(true)
 	}
 }
@@ -438,9 +432,7 @@ func (s *Server) scheduleRetry(j *Job, cause error) bool {
 			// Shutdown during backoff: leave the job queued (pending in
 			// the journal) so a restart replays it; Close's sweep has
 			// already run, so cancel it here for this process's books.
-			if j.finish(JobCanceled, "server closed during retry backoff") {
-				s.metrics.Canceled.Add(1)
-			}
+			j.finish(JobCanceled, "server closed during retry backoff", s.metrics.countCanceled)
 		case <-j.Done():
 			// Cancelled during backoff; nothing to enqueue.
 		}
@@ -451,9 +443,7 @@ func (s *Server) scheduleRetry(j *Job, cause error) bool {
 		select {
 		case <-s.closed:
 			if timer.Stop() {
-				if j.finish(JobCanceled, "server closed during retry backoff") {
-					s.metrics.Canceled.Add(1)
-				}
+				j.finish(JobCanceled, "server closed during retry backoff", s.metrics.countCanceled)
 			}
 		case <-j.Done():
 			timer.Stop()
@@ -770,7 +760,7 @@ func (s *Server) submit(w http.ResponseWriter, j *Job) {
 	default:
 		// Lost the race for the last slot after the submit record landed;
 		// journal the rejection so the id never replays.
-		j.finish(JobFailed, "queue full at admission")
+		j.finish(JobFailed, "queue full at admission", nil)
 		s.journalFinish(j)
 		s.shedQueueFull(w)
 	}
@@ -941,12 +931,11 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	switch j.requestCancel() {
+	switch j.requestCancel(s.metrics.countCanceled) {
 	case cancelNoop:
 		writeJSON(w, http.StatusConflict, j.View())
 	case cancelledQueued:
 		s.journalFinish(j)
-		s.metrics.Canceled.Add(1)
 		writeJSON(w, http.StatusAccepted, j.View())
 	case cancellingRunning:
 		writeJSON(w, http.StatusAccepted, j.View())

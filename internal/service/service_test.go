@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -385,6 +386,31 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if got := s.Metrics().Accepted.Load(); got != 1 {
 		t.Fatalf("accepted %d", got)
+	}
+}
+
+// TestCompletedCountedBeforeDone: a client that has seen its job done
+// reads /metrics with the job already counted and its latency already
+// observed. The journal makes the server fsync each job's terminal
+// record after finishing it, which leaves a count made after the job is
+// published a wide window to show up here as a counter one short.
+func TestCompletedCountedBeforeDone(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 4, JournalPath: filepath.Join(t.TempDir(), "jobs.wal")})
+	const jobs = 40
+	for i := uint64(1); i <= jobs; i++ {
+		v := submit(t, ts, tinyRun("FDIP"))
+		if done := await(t, ts, v.ID, 2*time.Minute); done.State != JobDone {
+			t.Fatalf("job %d finished %s (%s)", i, done.State, done.Error)
+		}
+		resp, err := http.Get(ts.URL + "/metrics?format=json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := decode[Snapshot](t, resp)
+		if snap.Jobs.Completed != i || snap.Latency["FDIP"].Count != i {
+			t.Fatalf("after %d jobs seen done, /metrics counts %d completed and %d latencies",
+				i, snap.Jobs.Completed, snap.Latency["FDIP"].Count)
+		}
 	}
 }
 

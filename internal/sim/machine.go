@@ -60,6 +60,9 @@ type Machine struct {
 
 	l1i, l2, llc, itlb *cache.Table
 	mshr               *cache.MSHRFile
+	// tables owns the storage above and below (New takes it from the
+	// pool, Release gives it back); nil once the machine is released.
+	tables *tableSet
 
 	// Two clocks: `now` is the front-end clock (fetch throughput plus
 	// exposed front-end stalls) — it times prefetch issue, fills and
@@ -156,7 +159,9 @@ var windowChunk = defaultWindowChunk
 
 // New builds a machine over any event source — the live engine, a
 // trace-file reader, or a recorder teeing one to disk. pf may be nil
-// (FDIP-only baseline).
+// (FDIP-only baseline). Its tables come reset from a released machine
+// of the same shape when there is one; Release the machine when done
+// with it so the next one can.
 func New(prm Params, src EventSource, pf prefetch.Prefetcher) (*Machine, error) {
 	if prm.FetchWidth <= 0 || CycleScale%prm.FetchWidth != 0 {
 		return nil, fmt.Errorf("sim: fetch width %d must divide %d", prm.FetchWidth, CycleScale)
@@ -173,42 +178,31 @@ func New(prm Params, src EventSource, pf prefetch.Prefetcher) (*Machine, error) 
 	if prm.ITLBWays <= 0 || prm.ITLBEntries%prm.ITLBWays != 0 {
 		return nil, fmt.Errorf("sim: ITLB %d entries not divisible into %d ways", prm.ITLBEntries, prm.ITLBWays)
 	}
-	l1i, err := cache.New(cache.Config{Name: "L1I", Sets: prm.L1ISets, Ways: prm.L1IWays})
+	t, err := getTables(&prm)
 	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	l2, err := cache.New(cache.Config{Name: "L2", Sets: prm.L2Sets, Ways: prm.L2Ways})
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	llc, err := cache.New(cache.Config{Name: "LLC", Sets: prm.LLCSets, Ways: prm.LLCWays})
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	itlb, err := cache.New(cache.Config{Name: "ITLB", Sets: prm.ITLBEntries / prm.ITLBWays, Ways: prm.ITLBWays})
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return nil, err
 	}
 	m := &Machine{
 		prm:        prm,
 		src:        src,
-		bp:         bpu.New(prm.BP),
+		bp:         t.bp,
 		pf:         pf,
 		st:         NewStats(),
-		specRAS:    bpu.NewRAS(prm.BP.RASDepth),
-		archRAS:    bpu.NewRAS(prm.BP.RASDepth),
-		l1i:        l1i,
-		l2:         l2,
-		llc:        llc,
-		itlb:       itlb,
-		mshr:       cache.NewMSHRFile(prm.MSHRs),
+		specRAS:    t.specRAS,
+		archRAS:    t.archRAS,
+		l1i:        t.l1i,
+		l2:         t.l2,
+		llc:        t.llc,
+		itlb:       t.itlb,
+		mshr:       t.mshr,
+		tables:     t,
 		missLatEst: prm.LLCLatency * CycleScale,
 		fetchScale: CycleScale / uint64(prm.FetchWidth),
 		reqBase:    src.Requests(),
-		reqStall:   make(map[uint64]uint64),
-		pfQueue:    make([]pfReq, max(prm.PFQueueEntries, 0)),
-		histBlocks: make([]isa.Block, historyLen),
-		histTimes:  make([]uint64, historyLen),
+		reqStall:   t.reqStall,
+		pfQueue:    t.pfQueue,
+		histBlocks: t.histBlocks,
+		histTimes:  t.histTimes,
 	}
 	if es, ok := src.(interface{ Err() error }); ok {
 		m.srcErr = es.Err
@@ -216,13 +210,7 @@ func New(prm Params, src EventSource, pf prefetch.Prefetcher) (*Machine, error) 
 	if bs, ok := src.(BatchSource); ok {
 		m.win.ev, m.win.req, m.win.done, m.win.reqs = bs.Batch()
 	} else {
-		n := prm.FTQEntries + windowChunk
-		m.buf = window{
-			ev:   make([]isa.BlockEvent, n),
-			req:  make([]uint64, n),
-			done: make([]bool, n),
-			reqs: make([]uint64, n),
-		}
+		m.buf = t.buf
 	}
 	return m, nil
 }
@@ -283,6 +271,7 @@ func (m *Machine) ResetStats() {
 // stops early and reports the failure if the machine's internal
 // bookkeeping ever breaks (statistics up to that point stay valid).
 func (m *Machine) Run(n uint64) error {
+	m.mustHoldTables()
 	target := m.st.Instructions + n
 	startReq := m.pulledRequests()
 	var ctxErr error
@@ -329,6 +318,14 @@ func (m *Machine) Run(n uint64) error {
 		return m.err
 	}
 	return ctxErr
+}
+
+// mustHoldTables panics on a released machine, whose tables may belong
+// to another machine by now.
+func (m *Machine) mustHoldTables() {
+	if m.tables == nil {
+		panic("sim: machine used after Release")
+	}
 }
 
 // pulledRequests is the source's Requests count at the pull high-water.
@@ -440,6 +437,7 @@ func (m *Machine) dry() {
 // callers are expected to ResetStats (after a detailed re-warm) before
 // measuring. It returns the latched source-exhaustion error, if any.
 func (m *Machine) SkipFunctional(n uint64) error {
+	m.mustHoldTables()
 	if m.err != nil {
 		return m.err
 	}
