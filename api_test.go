@@ -9,9 +9,9 @@ import (
 
 func quickOpt() *Options {
 	return &Options{
-		WarmInstructions:    800_000,
-		MeasureInstructions: 1_200_000,
-		Workloads:           []string{"gin"},
+		WarmInstr:    800_000,
+		MeasureInstr: 1_200_000,
+		Workloads:    []string{"gin"},
 	}
 }
 
@@ -122,8 +122,7 @@ func TestNilOptions(t *testing.T) {
 	if _, err := AnalyzeWorkload("gorm"); err != nil {
 		t.Fatal(err)
 	}
-	var o *Options
-	rc, err := o.runConfig()
+	rc, err := config(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestNilOptions(t *testing.T) {
 
 func TestFaultOptionParsing(t *testing.T) {
 	o := &Options{Fault: "tag-flip:0.001:7"}
-	rc, err := o.runConfig()
+	rc, err := o.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestFaultOptionParsing(t *testing.T) {
 		t.Errorf("fault spec misparsed: %+v", rc.Fault)
 	}
 	bad := &Options{Fault: "no-such-class"}
-	if _, err := bad.runConfig(); err == nil {
+	if _, err := bad.Config(); err == nil {
 		t.Error("invalid fault spec accepted")
 	}
 	if _, err := Simulate("gin", FDIP, bad); err == nil {
@@ -170,9 +169,9 @@ func TestSimulateUnderFault(t *testing.T) {
 // sweep renders.
 func TestParallelSweepByteIdentical(t *testing.T) {
 	opt := &Options{
-		WarmInstructions:    60_000,
-		MeasureInstructions: 120_000,
-		Workloads:           []string{"gin", "tidb-tpcc"},
+		WarmInstr:    60_000,
+		MeasureInstr: 120_000,
+		Workloads:    []string{"gin", "tidb-tpcc"},
 	}
 	ids := []string{"fig9", "table2"}
 	render := func(o *Options) string {
@@ -197,5 +196,38 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 
 	if serial != parallel {
 		t.Fatalf("parallel sweep output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
+	}
+}
+
+// TestRunSweepForwardsKnobs: a sweep applies every knob of its Options
+// to each run, exactly as Simulate does, instead of silently running
+// the plain configuration.
+func TestRunSweepForwardsKnobs(t *testing.T) {
+	plain := &Options{WarmInstr: 100_000, MeasureInstr: 200_000, Workloads: []string{"gin"}}
+	governed := *plain
+	governed.Governed = true
+
+	p, err := RunSweep([]string{"GHB"}, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := RunSweep([]string{"GHB"}, &governed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Digest() == g.Digest() {
+		t.Fatal("governed sweep has the plain sweep's digest: Governed was dropped")
+	}
+	st, err := Simulate("gin", GHB, &governed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "digest gin/GHB = " + st.StatsDigest; len(g.Notes) != 1 || g.Notes[0] != want {
+		t.Fatalf("governed sweep notes %q, want [%q]", g.Notes, want)
+	}
+
+	_, err = RunSweep([]string{"FDIP"}, &governed)
+	if err == nil || !strings.Contains(err.Error(), "does not support adaptive throttling") {
+		t.Fatalf("governed FDIP sweep: got %v, want the ungovernable-scheme error", err)
 	}
 }

@@ -52,25 +52,15 @@ func main() {
 		experiment = flag.String("experiment", "", "experiment id ("+strings.Join(hprefetch.ExperimentIDs(), ", ")+") or 'all'")
 		workload   = flag.String("workload", "", "single-run mode: workload name ("+strings.Join(hprefetch.AllWorkloads(), ", ")+")")
 		scheme     = flag.String("scheme", "Hierarchical", "single-run mode: one of "+schemeNames())
-		warm       = flag.Uint64("warm", 0, "warmup instructions (0 = default)")
-		measure    = flag.Uint64("measure", 0, "measured instructions (0 = default)")
-		quick      = flag.Bool("quick", false, "fast smoke configuration")
-		only       = flag.String("workloads", "", "comma-separated workload subset for experiments")
 		format     = flag.String("format", "text", "experiment output: text or csv")
-		faultSpec  = flag.String("fault", "", "inject a fault: class[:rate[:seed]] with class in "+strings.Join(hprefetch.FaultClasses(), ", "))
-		parallel   = flag.Int("parallel", 1, "concurrent simulations for experiment sweeps (tables stay byte-identical to a serial run)")
 		digest     = flag.Bool("digest", false, "print stable result fingerprints instead of full output (reproducibility checks)")
-		sample     = flag.String("sample", "", "interval sampling spec warm,measure,skip[,seed] in instructions (empty = exact simulation)")
 		record     = flag.String("record", "", "capture -workload's event stream to this trace file instead of simulating")
-		replay     = flag.String("replay", "", "replay the event stream from this recorded trace instead of running live")
-		tracedir   = flag.String("tracedir", "", "replay workloads with a trace at <dir>/<workload>.hpt, run the rest live")
-		corpusDir  = flag.String("corpus", "", "resolve workloads through the content-addressed trace corpus at this directory (self-healing replay)")
 		sweep      = flag.Bool("sweep", false, "run a workload × scheme IPC sweep (the table a fleet coordinator produces)")
 		schemes    = flag.String("schemes", "", "comma-separated scheme subset for -sweep (default: all evaluated schemes)")
 		list       = flag.Bool("list", false, "print every known workload, scheme and experiment id (sorted) and exit")
-		degree     = flag.Int("degree", 0, "static prefetch degree override for tunable schemes (0 = scheme default)")
-		governed   = flag.Bool("governed", false, "attach the adaptive feedback throttling governor (tunable schemes only)")
 	)
+	opt := &hprefetch.Options{}
+	bindFlags(flag.CommandLine, opt)
 	flag.Parse()
 
 	if *list {
@@ -94,23 +84,6 @@ func main() {
 			fmt.Println("  " + id)
 		}
 		return
-	}
-
-	opt := &hprefetch.Options{
-		WarmInstructions:    *warm,
-		MeasureInstructions: *measure,
-		Quick:               *quick,
-		Fault:               *faultSpec,
-		Parallel:            *parallel,
-		ReplayTrace:         *replay,
-		TraceDir:            *tracedir,
-		CorpusDir:           *corpusDir,
-		Sample:              *sample,
-		PFDegree:            *degree,
-		Governed:            *governed,
-	}
-	if *only != "" {
-		opt.Workloads = strings.Split(*only, ",")
 	}
 
 	switch {
@@ -145,9 +118,9 @@ func main() {
 		}
 		fmt.Printf("workload:  %s\nscheme:    %s\nmachine:   %s\n", st.Workload, st.Scheme, hprefetch.MachineDescription())
 		fmt.Printf("IPC:       %.3f  (%+.1f%% vs FDIP)\n", st.IPC, st.SpeedupOverFDIP*100)
-		if *faultSpec != "" {
+		if opt.Fault != "" {
 			fmt.Printf("faults:    %s  (loader tag drops %d, bundle rejects %d)\n",
-				*faultSpec, st.TagDrops, st.BundleRejects)
+				opt.Fault, st.TagDrops, st.BundleRejects)
 		}
 		if st.SampleIntervals > 0 {
 			fmt.Printf("sampling:  %d intervals, IPC %.3f ± %.3f, %.0f%% detailed\n",
@@ -188,6 +161,30 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// bindFlags binds every run knob hpsim exposes straight onto sp. -replay
+// and -tracedir both name sp.TracePath, which takes a trace file or a
+// directory of <workload>.hpt traces alike.
+func bindFlags(fs *flag.FlagSet, sp *hprefetch.Options) {
+	fs.Uint64Var(&sp.WarmInstr, "warm", 0, "warmup instructions (0 = default)")
+	fs.Uint64Var(&sp.MeasureInstr, "measure", 0, "measured instructions (0 = default)")
+	fs.BoolVar(&sp.Quick, "quick", false, "fast smoke configuration")
+	fs.Func("workloads", "comma-separated workload subset for experiments and -sweep", func(s string) error {
+		sp.Workloads = nil
+		if s != "" {
+			sp.Workloads = strings.Split(s, ",")
+		}
+		return nil
+	})
+	fs.StringVar(&sp.Fault, "fault", "", "inject a fault: class[:rate[:seed]] with class in "+strings.Join(hprefetch.FaultClasses(), ", "))
+	fs.IntVar(&sp.Parallel, "parallel", 1, "concurrent simulations for experiment sweeps (tables stay byte-identical to a serial run)")
+	fs.StringVar(&sp.Sample, "sample", "", "interval sampling spec warm,measure,skip[,seed] in instructions (empty = exact simulation)")
+	fs.StringVar(&sp.TracePath, "replay", "", "replay the event stream from this recorded trace instead of running live")
+	fs.StringVar(&sp.TracePath, "tracedir", "", "replay workloads with a trace at <dir>/<workload>.hpt, run the rest live")
+	fs.StringVar(&sp.CorpusDir, "corpus", "", "resolve workloads through the content-addressed trace corpus at this directory (self-healing replay)")
+	fs.IntVar(&sp.PFDegree, "degree", 0, "static prefetch degree override for tunable schemes (0 = scheme default)")
+	fs.BoolVar(&sp.Governed, "governed", false, "attach the adaptive feedback throttling governor (tunable schemes only)")
 }
 
 func emit(t *hprefetch.Table, format string, digest bool) {

@@ -63,9 +63,9 @@ func runReport(args []string) {
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	t, err := hprefetch.RunExperiment("fig1", &hprefetch.Options{
-		MeasureInstructions: *instr,
-		Workloads:           []string{*workload},
-		ReplayTrace:         *replay,
+		MeasureInstr: *instr,
+		Workloads:    []string{*workload},
+		TracePath:    *replay,
 	})
 	if err != nil {
 		fatal(err)
@@ -73,8 +73,8 @@ func runReport(args []string) {
 	t.Fprint(os.Stdout)
 
 	st, err := hprefetch.Simulate(*workload, hprefetch.FDIP, &hprefetch.Options{
-		WarmInstructions:    *instr / 4,
-		MeasureInstructions: *instr,
+		WarmInstr:    *instr / 4,
+		MeasureInstr: *instr,
 	})
 	if err != nil {
 		fatal(err)

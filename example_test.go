@@ -27,8 +27,8 @@ func ExampleAnalyzeWorkload() {
 // Prefetcher with a short smoke-test budget.
 func ExampleSimulate() {
 	st, err := hprefetch.Simulate("gin", hprefetch.Hierarchical, &hprefetch.Options{
-		WarmInstructions:    500_000,
-		MeasureInstructions: 500_000,
+		WarmInstr:    500_000,
+		MeasureInstr: 500_000,
 	})
 	if err != nil {
 		panic(err)

@@ -13,8 +13,8 @@ import (
 
 func main() {
 	opt := &hprefetch.Options{
-		WarmInstructions:    2_000_000,
-		MeasureInstructions: 4_000_000,
+		WarmInstr:    2_000_000,
+		MeasureInstr: 4_000_000,
 	}
 	const workload = "tidb-tpcc"
 

@@ -16,9 +16,9 @@ import (
 
 func main() {
 	opt := &hprefetch.Options{
-		Workloads:           []string{"tidb-tpcc"},
-		WarmInstructions:    2_000_000,
-		MeasureInstructions: 5_000_000,
+		Workloads:    []string{"tidb-tpcc"},
+		WarmInstr:    2_000_000,
+		MeasureInstr: 5_000_000,
 	}
 
 	fig1, err := hprefetch.RunExperiment("fig1", opt)

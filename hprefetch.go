@@ -82,69 +82,27 @@ func Workloads() []string { return workloads.Names() }
 // sorted alphabetically (stable across processes).
 func AllWorkloads() []string { return workloads.AllSorted() }
 
-// Options tunes a simulation or experiment run. The zero value (or nil)
-// uses the paper-faithful defaults.
-type Options struct {
-	// WarmInstructions run before measurement begins (default 4M).
-	WarmInstructions uint64
-	// MeasureInstructions are simulated with statistics on (default 8M).
-	MeasureInstructions uint64
-	// Workloads restricts experiments to a subset (default: all eleven).
-	Workloads []string
-	// Quick trades precision for speed: shorter runs and a
-	// representative workload subset. Good for smoke tests.
-	Quick bool
-	// Fault injects a deterministic fault into every run, specified as
-	// "class[:rate[:seed]]" — e.g. "bundle-corrupt", "tag-flip:0.001",
-	// "mshr-starve:0.5:7". Empty injects nothing. See FaultClasses.
-	Fault string
-	// Parallel runs experiment sweeps with up to this many simulations
-	// in flight at once (<= 1 is serial). Results are byte-identical to
-	// a serial run — simulations are deterministic and tables assemble
-	// in a fixed order; only wall-clock time changes. Single-flight
-	// caching dedupes runs shared between concurrent experiments.
-	Parallel int
-	// ReplayTrace replays the block-event stream from this recorded
-	// trace file instead of interpreting the workload live. The trace
-	// must match the workload and seed; a replayed run produces the
-	// identical StatsDigest as its live counterpart. Incompatible with
-	// Fault.
-	ReplayTrace string
-	// TraceDir enables replay-backed experiments: workloads with a
-	// recorded trace at <TraceDir>/<workload>.hpt replay from it, the
-	// rest run live.
-	TraceDir string
-	// CorpusDir resolves workloads through the content-addressed trace
-	// corpus rooted here: a run with no explicit trace replays the best
-	// published recording that covers its warm+measure window, healing
-	// or routing around damaged objects (the digest never depends on
-	// the corpus). See internal/corpus.
-	CorpusDir string
-	// Sample enables interval sampling instead of exact measurement,
-	// specified as "warm,measure,skip[,seed]" in instructions — e.g.
-	// "50000,100000,800000". The measure window is covered by detailed
-	// intervals of warm+measure instructions separated by functionally
-	// warmed skips averaging skip instructions, trading exactness for a
-	// large speedup; RunStats reports the per-interval IPC spread.
-	// Incompatible with trace recording. Empty means exact simulation.
-	Sample string
-	// PFDegree overrides the evaluated prefetcher's static aggressiveness
-	// (prefetch degree) where the scheme supports it (GHB, GHB-TLB,
-	// Hierarchical). 0 keeps the scheme default. Ignored under Governed.
-	PFDegree int
-	// Governed attaches the feedback throttling governor: per-interval
-	// accuracy/lateness/pollution samples drive the prefetcher between
-	// conservative, moderate and aggressive degree/lookahead levels.
-	// Errors for schemes without a tunable prefetcher (e.g. FDIP).
-	Governed bool
+// Options tunes a simulation, experiment or sweep. The zero value (or
+// nil) uses the paper-faithful defaults. It is harness.RunSpec, the one
+// declaration of every run knob: hpserved accepts the same fields as a
+// JSON body, and hpsim binds its flags onto them.
+type Options = harness.RunSpec
+
+// config resolves opt (nil means defaults) into the harness
+// configuration.
+func config(opt *Options) (harness.RunConfig, error) {
+	if opt == nil {
+		return harness.DefaultRunConfig(), nil
+	}
+	return opt.Config()
 }
 
 // parallel resolves the configured sweep width.
-func (o *Options) parallel() int {
-	if o == nil || o.Parallel < 1 {
+func parallel(opt *Options) int {
+	if opt == nil || opt.Parallel < 1 {
 		return 1
 	}
-	return o.Parallel
+	return opt.Parallel
 }
 
 // FaultClasses lists the fault classes Options.Fault accepts.
@@ -155,49 +113,6 @@ func FaultClasses() []string {
 		out[i] = string(c)
 	}
 	return out
-}
-
-// runConfig converts Options into the harness configuration.
-func (o *Options) runConfig() (harness.RunConfig, error) {
-	rc := harness.DefaultRunConfig()
-	if o == nil {
-		return rc, nil
-	}
-	if o.Quick {
-		rc = harness.QuickRunConfig()
-	}
-	if o.WarmInstructions > 0 {
-		rc.WarmInstr = o.WarmInstructions
-	}
-	if o.MeasureInstructions > 0 {
-		rc.MeasureInstr = o.MeasureInstructions
-	}
-	if len(o.Workloads) > 0 {
-		rc.Workloads = o.Workloads
-	}
-	if o.Fault != "" {
-		cfg, err := fault.ParseSpec(o.Fault)
-		if err != nil {
-			return rc, err
-		}
-		rc.Fault = cfg
-	}
-	rc.TracePath = o.ReplayTrace
-	rc.TraceDir = o.TraceDir
-	rc.CorpusDir = o.CorpusDir
-	if o.Sample != "" {
-		sp, err := harness.ParseSampleSpec(o.Sample)
-		if err != nil {
-			return rc, err
-		}
-		rc.Sample = sp
-	}
-	if o.PFDegree < 0 {
-		return rc, fmt.Errorf("PFDegree must be non-negative, got %d", o.PFDegree)
-	}
-	rc.PFDegree = o.PFDegree
-	rc.Governed = o.Governed
-	return rc, nil
 }
 
 // RunStats summarises one simulation.
@@ -266,7 +181,7 @@ type RunStats struct {
 
 // Simulate runs one workload under one scheme and returns its metrics.
 func Simulate(workload string, scheme Scheme, opt *Options) (RunStats, error) {
-	rc, err := opt.runConfig()
+	rc, err := config(opt)
 	if err != nil {
 		return RunStats{}, err
 	}
@@ -362,11 +277,11 @@ func ExperimentIDs() []string { return harness.ExperimentIDs() }
 // the experiment's own table assembly stays serial, so its output is
 // identical to a serial run.
 func RunExperiment(id string, opt *Options) (*Table, error) {
-	rc, err := opt.runConfig()
+	rc, err := config(opt)
 	if err != nil {
 		return nil, err
 	}
-	if p := opt.parallel(); p > 1 {
+	if p := parallel(opt); p > 1 {
 		harness.DefaultRunner().Warm(rc, p)
 	}
 	tbl, err := harness.Experiment(id, rc)
@@ -381,11 +296,11 @@ func RunExperiment(id string, opt *Options) (*Table, error) {
 // experiment generators themselves execute concurrently; tables still
 // come back in paper order with byte-identical contents.
 func RunAllExperiments(opt *Options) ([]*Table, error) {
-	rc, err := opt.runConfig()
+	rc, err := config(opt)
 	if err != nil {
 		return nil, err
 	}
-	p := opt.parallel()
+	p := parallel(opt)
 	if p > 1 {
 		harness.DefaultRunner().Warm(rc, p)
 	}
@@ -403,16 +318,15 @@ func RunAllExperiments(opt *Options) ([]*Table, error) {
 // the two byte-identical, so `hpsim -sweep` output diffs cleanly
 // against a coordinator's aggregated table — CI uses that diff as a
 // fleet integrity check. Workloads come from opt.Workloads (default
-// all); schemes default to the evaluated set in figure order.
+// all); schemes default to the evaluated set in figure order. Every
+// other knob of opt applies to each run, except TracePath, which a
+// sweep rejects.
 func RunSweep(schemes []string, opt *Options) (*Table, error) {
-	sp := fleet.SweepSpec{Schemes: schemes}
+	var sp fleet.SweepSpec
 	if opt != nil {
-		sp.Workloads = opt.Workloads
-		sp.Quick = opt.Quick
-		sp.WarmInstr = opt.WarmInstructions
-		sp.MeasureInstr = opt.MeasureInstructions
-		sp.CorpusDir = opt.CorpusDir
+		sp = *opt
 	}
+	sp.Schemes = schemes
 	t, err := fleet.RunLocal(context.Background(), sp)
 	if err != nil {
 		return nil, err
@@ -442,9 +356,9 @@ type TraceSummary struct {
 // RecordTrace captures a workload's retired block-event stream to path,
 // covering the configured warm+measure window plus a lookahead tail, so
 // any scheme can later be simulated from the file via
-// Options.ReplayTrace with a StatsDigest identical to the live run.
+// Options.TracePath with a StatsDigest identical to the live run.
 func RecordTrace(workload, path string, opt *Options) (TraceSummary, error) {
-	rc, err := opt.runConfig()
+	rc, err := config(opt)
 	if err != nil {
 		return TraceSummary{}, err
 	}

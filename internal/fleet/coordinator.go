@@ -173,8 +173,7 @@ func New(cfg Config) (*Coordinator, error) {
 				return nil, fmt.Errorf("fleet: journal %s holds a pending %q job (%s); it belongs to an hpserved instance, not a coordinator",
 					cfg.JournalPath, rj.Kind, rj.ID)
 			}
-			spec := specFromRequest(rj.Req)
-			sw := c.newSweep(rj.ID, spec, rj.Assignments)
+			sw := c.newSweep(rj.ID, rj.Req, rj.Assignments)
 			c.metrics.SweepsReplayed.Add(1)
 			c.startSweep(sw)
 		}
@@ -256,7 +255,8 @@ func (c *Coordinator) prober() {
 // dispatch fan-out. The returned Sweep reports progress via View and
 // completion via Done.
 func (c *Coordinator) Submit(spec SweepSpec) (*Sweep, error) {
-	if err := spec.Validate(); err != nil {
+	spec, _, err := resolveSweep(spec)
+	if err != nil {
 		return nil, err
 	}
 	select {
@@ -265,9 +265,8 @@ func (c *Coordinator) Submit(spec SweepSpec) (*Sweep, error) {
 	default:
 	}
 	id := fmt.Sprintf("swp-%06d", c.nextID.Add(1))
-	spec = spec.withDefaults()
 	if c.journal != nil {
-		if err := c.journal.AppendSubmit(id, "sweep", spec.specRequest()); err != nil {
+		if err := c.journal.AppendSubmit(id, "sweep", spec); err != nil {
 			c.metrics.JournalErrors.Add(1)
 			return nil, fmt.Errorf("fleet: journal append: %w", err)
 		}
@@ -281,12 +280,12 @@ func (c *Coordinator) Submit(spec SweepSpec) (*Sweep, error) {
 // newSweep registers a sweep and its job set. replayAssign carries the
 // journaled backend per key for recovered sweeps (nil otherwise).
 func (c *Coordinator) newSweep(id string, spec SweepSpec, replayAssign map[string]string) *Sweep {
-	spec = spec.withDefaults()
+	spec = withAxes(spec)
 	sw := &Sweep{
 		ID:           id,
 		Spec:         spec,
 		jobs:         map[string]*sweepJob{},
-		keys:         spec.Keys(),
+		keys:         sweepKeys(spec),
 		state:        service.JobRunning,
 		submitted:    time.Now(),
 		replayAssign: replayAssign,
@@ -399,7 +398,7 @@ func (c *Coordinator) runJob(sw *Sweep, jb *sweepJob) {
 	if b, ok := sw.replayAssign[jb.key]; ok {
 		prefs = promote(prefs, b)
 	}
-	req := sw.Spec.jobRequest(jb.workload, jb.scheme)
+	req := subJob(sw.Spec, jb.workload, jb.scheme)
 
 	sw.mu.Lock()
 	jb.state = service.JobRunning

@@ -165,7 +165,7 @@ func TestSweepMatchesLocal(t *testing.T) {
 			t.Fatalf("job %s state %s", js.Key, js.State)
 		}
 	}
-	for _, key := range tinySweep().Keys() {
+	for _, key := range sweepKeys(tinySweep()) {
 		if seen[key] != 1 {
 			t.Fatalf("job %s appears %d times", key, seen[key])
 		}
@@ -236,9 +236,62 @@ func TestSweepHTTPAPI(t *testing.T) {
 	if r, _ := http.Get(base + "/v1/sweeps/swp-999999"); r.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown sweep returned %d", r.StatusCode)
 	}
-	bad, _ := json.Marshal(SweepSpec{Workloads: []string{"no-such-workload"}})
-	if r, _ := http.Post(base+"/v1/sweeps", "application/json", newReader(bad)); r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec returned %d", r.StatusCode)
+	for name, spec := range map[string]SweepSpec{
+		"unknown workload": {Workloads: []string{"no-such-workload"}},
+		"bad fault":        {Workloads: []string{"gin"}, Fault: "no-such-class"},
+		"workload":         {Workload: "gin"},
+		"scheme":           {Scheme: "FDIP"},
+		"experiment":       {Experiment: "fig9"},
+		"trace_path":       {TracePath: t.TempDir()},
+	} {
+		bad, _ := json.Marshal(spec)
+		r, err := http.Post(base+"/v1/sweeps", "application/json", newReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: bad spec returned %d", name, r.StatusCode)
+		}
+	}
+}
+
+// TestGovernedSweepMatchesLocal: every knob of a sweep spec reaches the
+// backends, so a governed sweep sharded over two backends matches the
+// governed single-node run — and differs from the plain one.
+func TestGovernedSweepMatchesLocal(t *testing.T) {
+	harness.DropCache()
+	b1, b2 := startBackend(t), startBackend(t)
+	c, err := New(fastFleetConfig(b1.url(), b2.url()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	spec := SweepSpec{Workloads: []string{"gin", "echo"}, Schemes: []string{"GHB"},
+		WarmInstr: 50_000, MeasureInstr: 100_000, Governed: true}
+	sw, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := awaitSweep(t, sw, 2*time.Minute)
+	if v.State != service.JobDone {
+		t.Fatalf("sweep finished %s: %s", v.State, v.Error)
+	}
+	local, err := RunLocal(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Table != local.String() || v.TableDigest != local.Digest() {
+		t.Fatalf("governed fleet table differs from single-node run:\nfleet:\n%s\nlocal:\n%s", v.Table, local.String())
+	}
+	spec.Governed = false
+	plain, err := RunLocal(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Digest() == local.Digest() {
+		t.Fatal("governed and plain sweeps share a table digest")
 	}
 }
 

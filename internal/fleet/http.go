@@ -3,9 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"hprefetch/internal/service"
@@ -45,19 +43,10 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	var spec SweepSpec
-	data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	spec, err := service.DecodeRequest(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		writeError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
 		return
-	}
-	if len(strings.TrimSpace(string(data))) > 0 {
-		dec := json.NewDecoder(strings.NewReader(string(data)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
-			return
-		}
 	}
 	sw, err := c.Submit(spec)
 	if err != nil {

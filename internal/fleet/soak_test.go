@@ -102,7 +102,7 @@ func TestFleetChaosSoak(t *testing.T) {
 			t.Fatalf("job %s ended %s: %s", js.Key, js.State, js.Error)
 		}
 	}
-	keys := soakSweep().Keys()
+	keys := sweepKeys(soakSweep())
 	if len(v.Jobs) != len(keys) {
 		t.Fatalf("sweep tracked %d jobs, want %d", len(v.Jobs), len(keys))
 	}

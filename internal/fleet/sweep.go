@@ -11,28 +11,15 @@ import (
 	"hprefetch/internal/workloads"
 )
 
-// SweepSpec names the cross product a sweep simulates: every workload ×
-// every scheme, one job per pair.
-type SweepSpec struct {
-	// Workloads to sweep (empty = all).
-	Workloads []string `json:"workloads,omitempty"`
-	// Schemes to sweep (empty = the figure-order scheme list).
-	Schemes []string `json:"schemes,omitempty"`
-	// Quick selects the scaled-down smoke configuration.
-	Quick bool `json:"quick,omitempty"`
-	// WarmInstr / MeasureInstr override run length (0 keeps defaults).
-	WarmInstr    uint64 `json:"warm_instr,omitempty"`
-	MeasureInstr uint64 `json:"measure_instr,omitempty"`
-	// CorpusDir resolves jobs through a local content-addressed trace
-	// corpus (self-healing replay; see internal/corpus). It applies to
-	// in-process execution (RunLocal) only and is never forwarded to
-	// backends — each hpserved names its own store via -corpus, since a
-	// coordinator has no business dictating backend filesystem paths.
-	CorpusDir string `json:"-"`
-}
+// SweepSpec names the cross product a sweep simulates: every workload
+// in Workloads × every scheme in Schemes, one job per pair. Every other
+// knob applies to each job. It is harness.RunSpec; a sweep rejects the
+// fields that name a single run (workload, scheme, experiment) and
+// trace_path, since a coordinator does not dictate backend paths.
+type SweepSpec = harness.RunSpec
 
-// withDefaults resolves the empty axes.
-func (sp SweepSpec) withDefaults() SweepSpec {
+// withAxes resolves the empty axes.
+func withAxes(sp SweepSpec) SweepSpec {
 	if len(sp.Workloads) == 0 {
 		sp.Workloads = workloads.Names()
 	}
@@ -44,18 +31,29 @@ func (sp SweepSpec) withDefaults() SweepSpec {
 	return sp
 }
 
-// Validate rejects unknown workloads and schemes at submission, and
-// duplicate axis entries (a duplicated key would make "every job
-// exactly once" ambiguous).
-func (sp SweepSpec) Validate() error {
-	sp = sp.withDefaults()
+// resolveSweep fills the spec's empty axes, validates it, and resolves
+// the harness configuration every job of the sweep runs under. It
+// rejects single-run fields, unknown workloads and schemes, duplicate
+// axis entries (a duplicated key would make "every job exactly once"
+// ambiguous) and any knob RunSpec.Config refuses.
+func resolveSweep(sp SweepSpec) (SweepSpec, harness.RunConfig, error) {
+	switch {
+	case sp.Workload != "" || sp.Scheme != "":
+		return sp, harness.RunConfig{}, fmt.Errorf("a sweep names its pairs through workloads and schemes, not workload/scheme")
+	case sp.Experiment != "":
+		return sp, harness.RunConfig{}, fmt.Errorf("experiment is not a sweep field")
+	case sp.TracePath != "":
+		return sp, harness.RunConfig{}, fmt.Errorf("trace_path is not a sweep field: a coordinator does not dictate backend paths")
+	}
+	sp = withAxes(sp)
+	rc, err := sp.Config()
+	if err != nil {
+		return sp, rc, err
+	}
 	seenW := map[string]bool{}
 	for _, w := range sp.Workloads {
-		if _, err := workloads.Get(w); err != nil {
-			return err
-		}
 		if seenW[w] {
-			return fmt.Errorf("duplicate workload %q in sweep", w)
+			return sp, rc, fmt.Errorf("duplicate workload %q in sweep", w)
 		}
 		seenW[w] = true
 	}
@@ -66,20 +64,20 @@ func (sp SweepSpec) Validate() error {
 	seenS := map[string]bool{}
 	for _, sc := range sp.Schemes {
 		if !valid[sc] {
-			return fmt.Errorf("unknown scheme %q (known: %s)", sc, harness.SchemeNames())
+			return sp, rc, fmt.Errorf("unknown scheme %q (known: %s)", sc, harness.SchemeNames())
 		}
 		if seenS[sc] {
-			return fmt.Errorf("duplicate scheme %q in sweep", sc)
+			return sp, rc, fmt.Errorf("duplicate scheme %q in sweep", sc)
 		}
 		seenS[sc] = true
 	}
-	return nil
+	return sp, rc, nil
 }
 
-// Keys expands the spec into its job keys, workload-major — the order
-// rows and columns appear in the aggregated table.
-func (sp SweepSpec) Keys() []string {
-	sp = sp.withDefaults()
+// sweepKeys expands the spec into its job keys, workload-major — the
+// order rows and columns appear in the aggregated table.
+func sweepKeys(sp SweepSpec) []string {
+	sp = withAxes(sp)
 	out := make([]string, 0, len(sp.Workloads)*len(sp.Schemes))
 	for _, w := range sp.Workloads {
 		for _, sc := range sp.Schemes {
@@ -87,6 +85,15 @@ func (sp SweepSpec) Keys() []string {
 		}
 	}
 	return out
+}
+
+// subJob is the request a backend receives for one job of the sweep:
+// the sweep spec itself with the pair set and the axes cleared, so
+// every knob reaches the backend.
+func subJob(sp SweepSpec, workload, scheme string) service.RunRequest {
+	sp.Workload, sp.Scheme = workload, scheme
+	sp.Workloads, sp.Schemes = nil, nil
+	return sp
 }
 
 // JobKey names one (workload, scheme) job; the inverse is SplitKey.
@@ -104,69 +111,15 @@ func SplitKey(key string) (workload, scheme string, err error) {
 	return key[:i], key[i+1:], nil
 }
 
-// runConfig resolves the spec into the harness configuration — the SAME
-// resolution hpserved performs for a RunRequest carrying these fields,
-// so a local run and a fleet run simulate identical machines.
-func (sp SweepSpec) runConfig() harness.RunConfig {
-	rc := harness.DefaultRunConfig()
-	if sp.Quick {
-		rc = harness.QuickRunConfig()
-		rc.Workloads = nil
-	}
-	if sp.WarmInstr > 0 {
-		rc.WarmInstr = sp.WarmInstr
-	}
-	if sp.MeasureInstr > 0 {
-		rc.MeasureInstr = sp.MeasureInstr
-	}
-	rc.CorpusDir = sp.CorpusDir
-	return rc
-}
-
-// jobRequest is the RunRequest a backend receives for one job of this
-// sweep.
-func (sp SweepSpec) jobRequest(workload, scheme string) service.RunRequest {
-	return service.RunRequest{
-		Workload:     workload,
-		Scheme:       scheme,
-		Quick:        sp.Quick,
-		WarmInstr:    sp.WarmInstr,
-		MeasureInstr: sp.MeasureInstr,
-	}
-}
-
-// specRequest is the journal form of the whole sweep (Kind "sweep").
-func (sp SweepSpec) specRequest() service.RunRequest {
-	return service.RunRequest{
-		Workloads:    sp.Workloads,
-		Schemes:      sp.Schemes,
-		Quick:        sp.Quick,
-		WarmInstr:    sp.WarmInstr,
-		MeasureInstr: sp.MeasureInstr,
-	}
-}
-
-// specFromRequest inverts specRequest for journal replay.
-func specFromRequest(req service.RunRequest) SweepSpec {
-	return SweepSpec{
-		Workloads:    req.Workloads,
-		Schemes:      req.Schemes,
-		Quick:        req.Quick,
-		WarmInstr:    req.WarmInstr,
-		MeasureInstr: req.MeasureInstr,
-	}
-}
-
 // RunLocal executes the whole sweep in-process through the shared
 // harness Runner — the single-node reference a fleet run must match
 // byte for byte. Used by hpsim -sweep and by tests cross-checking
 // coordinator output.
 func RunLocal(ctx context.Context, sp SweepSpec) (*harness.Table, error) {
-	sp = sp.withDefaults()
-	if err := sp.Validate(); err != nil {
+	sp, rc, err := resolveSweep(sp)
+	if err != nil {
 		return nil, err
 	}
-	rc := sp.runConfig()
 	results := map[string]*service.RunResult{}
 	for _, w := range sp.Workloads {
 		for _, sc := range sp.Schemes {
@@ -188,7 +141,7 @@ func RunLocal(ctx context.Context, sp SweepSpec) (*harness.Table, error) {
 // byte-identical whenever the underlying runs were (JSON round-trips
 // float64 exactly).
 func SweepTable(sp SweepSpec, results map[string]*service.RunResult) (*harness.Table, error) {
-	sp = sp.withDefaults()
+	sp = withAxes(sp)
 	t := &harness.Table{
 		ID:     "sweep",
 		Title:  "Sweep: IPC by workload and scheme",

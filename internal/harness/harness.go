@@ -11,6 +11,7 @@ package harness
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -85,8 +86,9 @@ type RunConfig struct {
 	MeasureInstr uint64
 	// Params is the machine configuration.
 	Params sim.Params
-	// Workloads restricts the workload set (nil = all eleven).
-	Workloads []string
+	// Workloads restricts the workload set (nil = all eleven). Not part
+	// of the memoisation key: it selects runs, it does not shape one.
+	Workloads []string `json:"-"`
 
 	// ManaLookahead / EFetchLookahead override the schemes' look-ahead
 	// depth (Figure 2 sweeps). Zero keeps defaults.
@@ -153,7 +155,7 @@ type RunConfig struct {
 	// harness.Run call an experiment makes without threading a context
 	// through each table generator. It is NOT part of the memoisation
 	// key.
-	Ctx context.Context
+	Ctx context.Context `json:"-"`
 }
 
 // context resolves the configured context.
@@ -221,18 +223,18 @@ type Result struct {
 	Governor *feedback.Summary
 }
 
-// key builds the memoisation key for a run.
+// key builds the memoisation key for a run: SHA-256 over the JSON of
+// workload, scheme and every field of rc not tagged `json:"-"`, so a
+// field added to RunConfig is part of the key unless it opts out.
 func (rc *RunConfig) key(workload string, scheme Scheme) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%d|%d|%d|%d|%v", workload, scheme,
-		rc.WarmInstr, rc.MeasureInstr, rc.ManaLookahead, rc.EFetchLookahead, rc.TrackBundles)
-	fmt.Fprintf(h, "|%d|%v", rc.PFDegree, rc.Governed)
-	fmt.Fprintf(h, "|%s|%g|%d", rc.Fault.Class, rc.Fault.Rate, rc.Fault.Seed)
-	fmt.Fprintf(h, "|%s|%s|%s|%s", rc.TracePath, rc.TraceDir, rc.RecordPath, rc.CorpusDir)
-	fmt.Fprintf(h, "|%d|%d|%d|%d", rc.Sample.WarmInstr, rc.Sample.MeasureInstr, rc.Sample.SkipInstr, rc.Sample.Seed)
-	fmt.Fprintf(h, "%+v", rc.Params)
-	if rc.HierConfig != nil {
-		fmt.Fprintf(h, "%+v", *rc.HierConfig)
+	enc := json.NewEncoder(h)
+	for _, v := range []any{workload, scheme, rc} {
+		if err := enc.Encode(v); err != nil {
+			// Only a NaN or infinite float fails to encode. %v keeps such
+			// configs apart; at worst an identical one misses the cache.
+			fmt.Fprintf(h, "%v\n", v)
+		}
 	}
 	return string(h.Sum(nil))
 }

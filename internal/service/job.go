@@ -30,58 +30,11 @@ func (s JobState) Terminal() bool {
 }
 
 // RunRequest is the wire form of a simulation submission
-// (POST /v1/runs). The zero value of every optional field keeps the
-// harness default.
-type RunRequest struct {
-	// Workload and Scheme name the pair to simulate (run jobs only).
-	Workload string `json:"workload,omitempty"`
-	Scheme   string `json:"scheme,omitempty"`
-	// Experiment is the figure/table id (experiment jobs only).
-	Experiment string `json:"experiment,omitempty"`
-	// WarmInstr / MeasureInstr override run length.
-	WarmInstr    uint64 `json:"warm_instr,omitempty"`
-	MeasureInstr uint64 `json:"measure_instr,omitempty"`
-	// Workloads restricts an experiment's workload set.
-	Workloads []string `json:"workloads,omitempty"`
-	// Quick selects the scaled-down smoke configuration.
-	Quick bool `json:"quick,omitempty"`
-	// Fault is a fault-injection spec ("class[:rate[:seed]]").
-	Fault string `json:"fault,omitempty"`
-	// TimeoutMS bounds the job's wall-clock execution; 0 uses the
-	// server default, and values above the server maximum are clamped.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MaxRetries overrides the server's transient-failure retry budget
-	// for this job: 0 keeps the server default, negative disables
-	// retries, positive values are clamped to the server maximum.
-	MaxRetries int `json:"max_retries,omitempty"`
-	// TracePath names a server-side recorded trace: a trace file to
-	// replay the named workload from, or a directory of
-	// <workload>.hpt files for experiments (workloads without a trace
-	// run live). Validated at submission; incompatible with Fault.
-	TracePath string `json:"trace_path,omitempty"`
-	// Schemes is the scheme axis of a fleet sweep (coordinator jobs
-	// only). Plain run/experiment submissions must leave it empty — a
-	// single hpserved names one scheme via Scheme.
-	Schemes []string `json:"schemes,omitempty"`
-	// Sample enables interval-sampled simulation instead of exact
-	// measurement, as "warm,measure,skip[,seed]" in instructions (see
-	// the harness sampling docs). Validated at submission; empty runs
-	// exact.
-	Sample string `json:"sample,omitempty"`
-	// NoCorpus skips the server's corpus resolution (-corpus) for this
-	// job, forcing live interpretation when no explicit trace_path is
-	// given. The fleet coordinator sets it when re-dispatching a job
-	// whose shard reported a quarantined corpus object, so the retry
-	// cannot trip over shared damaged storage again.
-	NoCorpus bool `json:"no_corpus,omitempty"`
-	// PFDegree overrides the scheme's static prefetch degree (GHB issue
-	// degree, Hierarchical replay burst budget); 0 keeps the default.
-	PFDegree int `json:"pf_degree,omitempty"`
-	// Governed wraps the scheme's prefetcher with the feedback-directed
-	// throttling governor (adaptive degree/lookahead). Schemes without a
-	// tunable prefetcher reject it at execution.
-	Governed bool `json:"governed,omitempty"`
-}
+// (POST /v1/runs, POST /v1/experiments/{id}) and the spec the journal
+// records: harness.RunSpec, whose JSON tags are the API. The zero value
+// of every optional field keeps the harness default; the in-process
+// fields (Parallel, CorpusDir) never cross the wire.
+type RunRequest = harness.RunSpec
 
 // RunResult summarises a completed simulation for the API.
 type RunResult struct {

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -24,11 +26,11 @@ import (
 //	u32 payload length | payload | u32 CRC-32 (IEEE) of payload
 //
 // with the payload encoded by the same overflow-safe little-endian
-// conventions as internal/binfmt (bounds-checked reads, canonical
-// booleans, length prefixes sanity-checked against the remaining
-// input). Decoding stops at the first torn or corrupt record: the valid
-// prefix replays, the tail is discarded — a crash mid-append never
-// poisons startup.
+// conventions as internal/binfmt (bounds-checked reads, length prefixes
+// sanity-checked against the remaining input). A submit payload ends
+// with the request's canonical encoding/json bytes. Decoding stops at
+// the first torn or corrupt record: the valid prefix replays, the tail
+// is discarded — a crash mid-append never poisons startup.
 //
 // Appends are group-committed: concurrent Append calls coalesce into
 // one write + one fsync performed by a dedicated flusher goroutine, and
@@ -39,18 +41,15 @@ import (
 // packed, same style as binfmt.Magic).
 const journalMagic = 0x4850_4A4C_0001_0001
 
-// journalVersion is the current journal format version. v2 added
-// RunRequest.TracePath to submit records; v3 added RunRequest.Schemes
-// (fleet sweep jobs) and the opAssign backend-assignment record; v4
-// added RunRequest.Sample (interval-sampled runs); v5 added
-// RunRequest.NoCorpus (the coordinator's corpus-bypass re-dispatch
-// flag); v6 added RunRequest.PFDegree and RunRequest.Governed (the
-// feedback-throttling subsystem's static-degree override and adaptive
-// flag). Decoding is exact-consumption, so journals from other
-// versions are rejected at startup — with an error naming both
+// journalVersion is the current journal format version. v2 to v6 each
+// added request fields to the field-by-field submit codec; v7 replaced
+// that codec with the canonical JSON of the request (see
+// encodeJournalPayload), so a field added later with a zero default is
+// simply absent from older records and needs no bump. Journals from
+// other versions are rejected at startup — with an error naming both
 // versions and the remediation — rather than misread (operators drain
 // or delete the old journal before upgrading).
-const journalVersion = 6
+const journalVersion = 7
 
 const journalHeaderSize = 10
 
@@ -108,17 +107,9 @@ type jwriter struct{ buf []byte }
 func (w *jwriter) u8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *jwriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *jwriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *jwriter) i64(v int64)  { w.u64(uint64(v)) }
 func (w *jwriter) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
-}
-func (w *jwriter) boolean(b bool) {
-	if b {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
 }
 
 // jreader decodes with bounds checking; a hostile length prefix cannot
@@ -163,7 +154,6 @@ func (r *jreader) u64() uint64 {
 	r.off += 8
 	return v
 }
-func (r *jreader) i64() int64 { return int64(r.u64()) }
 func (r *jreader) str() string {
 	n := int(r.u32())
 	if !r.need(n) {
@@ -174,25 +164,19 @@ func (r *jreader) str() string {
 	return s
 }
 
-// boolean accepts only canonical 0/1, keeping the encoding strict so
-// every accepted journal re-encodes to identical bytes.
-func (r *jreader) boolean() bool {
-	b := r.u8()
-	if r.err == nil && b > 1 {
-		r.err = fmt.Errorf("journal: invalid boolean byte %#x at offset %d", b, r.off-1)
+// decodeSpec parses a submit record's request: strict JSON (unknown
+// fields rejected) that must re-encode to exactly its own bytes, so
+// every accepted journal stays canonical. A field the writing build did
+// not have decodes as zero.
+func decodeSpec(data []byte) (RunRequest, error) {
+	req, err := DecodeRequest(bytes.NewReader(data))
+	if err != nil {
+		return req, fmt.Errorf("journal: submit request: %w", err)
 	}
-	return b != 0
-}
-
-// count reads a length prefix and sanity-checks it against the bytes
-// remaining, assuming minElem bytes per element.
-func (r *jreader) count(minElem int) int {
-	n := int64(r.u32())
-	if r.err == nil && n*int64(minElem) > int64(len(r.buf)-r.off) {
-		r.err = fmt.Errorf("journal: implausible element count %d at offset %d", n, r.off)
-		return 0
+	if again, _ := json.Marshal(req); !bytes.Equal(again, data) {
+		return req, fmt.Errorf("journal: submit request is not canonical JSON")
 	}
-	return int(n)
+	return req, nil
 }
 
 // finishStateCode maps terminal states to their wire codes.
@@ -227,30 +211,12 @@ func encodeJournalPayload(rec journalRecord) ([]byte, error) {
 	w.str(rec.ID)
 	switch rec.Op {
 	case opSubmit:
+		spec, err := json.Marshal(rec.Req)
+		if err != nil {
+			return nil, fmt.Errorf("journal: encoding %s request: %w", rec.ID, err)
+		}
 		w.str(rec.Kind)
-		q := &rec.Req
-		w.str(q.Workload)
-		w.str(q.Scheme)
-		w.str(q.Experiment)
-		w.u64(q.WarmInstr)
-		w.u64(q.MeasureInstr)
-		w.u32(uint32(len(q.Workloads)))
-		for _, wl := range q.Workloads {
-			w.str(wl)
-		}
-		w.boolean(q.Quick)
-		w.str(q.Fault)
-		w.i64(q.TimeoutMS)
-		w.i64(int64(q.MaxRetries))
-		w.str(q.TracePath)
-		w.u32(uint32(len(q.Schemes)))
-		for _, sc := range q.Schemes {
-			w.str(sc)
-		}
-		w.str(q.Sample)
-		w.boolean(q.NoCorpus)
-		w.i64(int64(q.PFDegree))
-		w.boolean(q.Governed)
+		w.buf = append(w.buf, spec...)
 	case opStart:
 		w.u32(rec.Attempt)
 	case opFinish:
@@ -281,35 +247,10 @@ func decodeJournalPayload(payload []byte) (journalRecord, error) {
 	switch rec.Op {
 	case opSubmit:
 		rec.Kind = r.str()
-		q := &rec.Req
-		q.Workload = r.str()
-		q.Scheme = r.str()
-		q.Experiment = r.str()
-		q.WarmInstr = r.u64()
-		q.MeasureInstr = r.u64()
-		n := r.count(4)
-		if n > 0 {
-			q.Workloads = make([]string, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				q.Workloads = append(q.Workloads, r.str())
-			}
+		if r.err == nil {
+			rec.Req, r.err = decodeSpec(r.buf[r.off:])
+			r.off = len(r.buf)
 		}
-		q.Quick = r.boolean()
-		q.Fault = r.str()
-		q.TimeoutMS = r.i64()
-		q.MaxRetries = int(r.i64())
-		q.TracePath = r.str()
-		ns := r.count(4)
-		if ns > 0 {
-			q.Schemes = make([]string, 0, ns)
-			for i := 0; i < ns && r.err == nil; i++ {
-				q.Schemes = append(q.Schemes, r.str())
-			}
-		}
-		q.Sample = r.str()
-		q.NoCorpus = r.boolean()
-		q.PFDegree = int(r.i64())
-		q.Governed = r.boolean()
 	case opStart:
 		rec.Attempt = r.u32()
 	case opFinish:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,13 +16,7 @@ import (
 func sampleRecords() []journalRecord {
 	return []journalRecord{
 		{Op: opSeq, Seq: 41},
-		{Op: opSubmit, ID: "job-000042", Kind: "run", Req: RunRequest{
-			Workload: "gin", Scheme: "Hierarchical",
-			WarmInstr: 1000, MeasureInstr: 2000,
-			Quick: true, Fault: "tag-flip:0.001:7", TimeoutMS: 5000, MaxRetries: 3,
-			TracePath: "/var/traces/gin.hpt",
-			Schemes:   []string{"FDIP", "Hierarchical"},
-		}},
+		{Op: opSubmit, ID: "job-000042", Kind: "run", Req: fullRequest()},
 		{Op: opStart, ID: "job-000042", Attempt: 1},
 		{Op: opSubmit, ID: "job-000043", Kind: "experiment", Req: RunRequest{
 			Experiment: "fig9", Workloads: []string{"gin", "etcd"},
@@ -30,6 +25,18 @@ func sampleRecords() []journalRecord {
 		{Op: opAssign, ID: "job-000043", Key: "gin/FDIP", Backend: "http://127.0.0.1:19001"},
 		{Op: opFinish, ID: "job-000042", State: JobDone, Digest: "fnv1a64:dead"},
 		{Op: opFinish, ID: "job-000043", State: JobFailed, ErrMsg: "boom"},
+	}
+}
+
+// fullRequest sets every JSON-visible RunRequest field.
+func fullRequest() RunRequest {
+	return RunRequest{
+		Workload: "gin", Scheme: "Hierarchical", Experiment: "fig9",
+		WarmInstr: 1000, MeasureInstr: 2000, Workloads: []string{"gin", "etcd"},
+		Quick: true, Fault: "tag-flip:0.001:7", TimeoutMS: 5000, MaxRetries: 3,
+		TracePath: "/var/traces/gin.hpt",
+		Schemes:   []string{"FDIP", "Hierarchical"},
+		Sample:    "10000,20000,40000,3", NoCorpus: true, PFDegree: 4, Governed: true,
 	}
 }
 
@@ -325,6 +332,11 @@ func FuzzJournalDecode(f *testing.F) {
 	mut := append([]byte(nil), data...)
 	mut[journalHeaderSize+6] ^= 0x10
 	f.Add(mut)
+	// A lone submit with every request field set, and a copy whose JSON
+	// is one byte from canonical.
+	payload, _ := encodeJournalPayload(journalRecord{Op: opSubmit, ID: "job-000001", Kind: "run", Req: fullRequest()})
+	f.Add(append(journalHeader(), frameRecord(payload)...))
+	f.Add(append(journalHeader(), frameRecord(bytes.Replace(payload, []byte(`"quick":true`), []byte(`"quick":1`), 1))...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, n, err := decodeJournal(data)
@@ -352,4 +364,40 @@ func FuzzJournalDecode(f *testing.F) {
 		// The fold must tolerate any accepted record sequence.
 		pendingFromRecords(recs)
 	})
+}
+
+// TestJournalSubmitMissingField: a v7 submit record written by a build
+// that lacked some request fields decodes with those fields zero and
+// re-encodes to its own bytes — why fields added after v7 need no
+// version bump. Non-canonical request JSON is refused.
+func TestJournalSubmitMissingField(t *testing.T) {
+	payload := func(spec string) []byte {
+		w := &jwriter{}
+		w.u8(uint8(opSubmit))
+		w.str("job-000007")
+		w.str("run")
+		return append(w.buf, spec...)
+	}
+	older := payload(`{"workload":"gin","scheme":"GHB","warm_instr":1000}`)
+	rec, err := decodeJournalPayload(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (RunRequest{Workload: "gin", Scheme: "GHB", WarmInstr: 1000}); !reflect.DeepEqual(rec.Req, want) {
+		t.Fatalf("decoded %+v, want %+v", rec.Req, want)
+	}
+	if again, _ := encodeJournalPayload(rec); !bytes.Equal(again, older) {
+		t.Fatalf("re-encoded %q, want %q", again, older)
+	}
+	for name, spec := range map[string]string{
+		"unknown field":  `{"workload":"gin","no_such_knob":1}`,
+		"reordered keys": `{"scheme":"GHB","workload":"gin"}`,
+		"explicit zero":  `{"workload":"gin","governed":false}`,
+		"trailing data":  `{"workload":"gin"} `,
+		"not json":       `workload=gin`,
+	} {
+		if _, err := decodeJournalPayload(payload(spec)); err == nil {
+			t.Errorf("%s: %s accepted", name, spec)
+		}
+	}
 }

@@ -27,13 +27,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -42,7 +42,6 @@ import (
 
 	"hprefetch/internal/fault"
 	"hprefetch/internal/harness"
-	"hprefetch/internal/tracefile"
 	"hprefetch/internal/workloads"
 	"hprefetch/internal/xrand"
 )
@@ -645,73 +644,21 @@ func validSchemes() map[string]bool {
 }
 
 // buildRunConfig validates req and resolves it into a harness
-// configuration plus the job deadline.
+// configuration plus the job deadline. The knobs resolve through
+// RunSpec.Config; the server adds its own policy: one scheme per run,
+// its -corpus store, and the deadline bounds.
 func (s *Server) buildRunConfig(req *RunRequest) (harness.RunConfig, time.Duration, error) {
-	rc := harness.DefaultRunConfig()
 	if len(req.Schemes) > 0 {
-		return rc, 0, fmt.Errorf("schemes is a fleet-coordinator sweep field; a single server takes one scheme per run")
+		return harness.RunConfig{}, 0, fmt.Errorf("schemes is a fleet-coordinator sweep field; a single server takes one scheme per run")
 	}
-	if req.Quick {
-		rc = harness.QuickRunConfig()
-		rc.Workloads = nil // Quick trims run length; workloads stay explicit
-	}
-	if req.WarmInstr > 0 {
-		rc.WarmInstr = req.WarmInstr
-	}
-	if req.MeasureInstr > 0 {
-		rc.MeasureInstr = req.MeasureInstr
-	}
-	if len(req.Workloads) > 0 {
-		for _, w := range req.Workloads {
-			if _, err := workloads.Get(w); err != nil {
-				return rc, 0, err
-			}
-		}
-		rc.Workloads = req.Workloads
-	}
-	if req.Fault != "" {
-		cfg, err := fault.ParseSpec(req.Fault)
-		if err != nil {
-			return rc, 0, err
-		}
-		rc.Fault = cfg
-	}
-	if req.TracePath != "" {
-		if req.Fault != "" {
-			return rc, 0, fmt.Errorf("trace_path cannot be combined with fault injection")
-		}
-		st, err := os.Stat(req.TracePath)
-		switch {
-		case err != nil:
-			return rc, 0, fmt.Errorf("trace_path: %w", err)
-		case st.IsDir():
-			rc.TraceDir = req.TracePath
-		default:
-			// Validate the file up front so a corrupt or foreign trace is
-			// rejected at submission, not buried in a failed job.
-			if _, err := tracefile.Stat(req.TracePath); err != nil {
-				return rc, 0, fmt.Errorf("trace_path: %w", err)
-			}
-			rc.TracePath = req.TracePath
-		}
-	}
-	if req.Sample != "" {
-		sp, err := harness.ParseSampleSpec(req.Sample)
-		if err != nil {
-			return rc, 0, fmt.Errorf("sample: %w", err)
-		}
-		rc.Sample = sp
-	}
-	if req.PFDegree < 0 {
-		return rc, 0, fmt.Errorf("pf_degree must be non-negative, got %d", req.PFDegree)
-	}
-	rc.PFDegree = req.PFDegree
-	rc.Governed = req.Governed
-	if s.cfg.CorpusDir != "" && !req.NoCorpus {
-		// Corpus resolution is a fallback, not an override: an explicit
-		// trace_path wins, and the harness skips the corpus for faulted
-		// or recording runs.
-		rc.CorpusDir = s.cfg.CorpusDir
+	// Corpus resolution is a fallback, not an override: an explicit
+	// trace_path wins, no_corpus opts out, and the harness skips the
+	// corpus for faulted or recording runs.
+	spec := *req
+	spec.CorpusDir = s.cfg.CorpusDir
+	rc, err := spec.Config()
+	if err != nil {
+		return rc, 0, err
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -820,8 +767,8 @@ func ceilSeconds(d time.Duration) int {
 }
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	req, err := DecodeRequest(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -856,8 +803,8 @@ func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) 
 			id, strings.Join(harness.ExperimentIDs(), ", "))
 		return
 	}
-	var req RunRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	req, err := DecodeRequest(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -967,19 +914,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, snap.Prometheus()) //nolint:errcheck // client went away
 }
 
-// decodeBody parses an optional JSON body (empty bodies are fine) and
-// rejects unknown fields so typos fail loudly.
-func decodeBody(body io.Reader, v *RunRequest) error {
+// DecodeRequest parses an optional JSON request body (empty bodies
+// decode as the zero request) and rejects unknown fields so typos fail
+// loudly. hpserved and the fleet coordinator both accept bodies through
+// it.
+func DecodeRequest(body io.Reader) (RunRequest, error) {
+	var req RunRequest
 	data, err := io.ReadAll(io.LimitReader(body, 1<<20))
 	if err != nil {
-		return err
+		return req, err
 	}
-	if len(strings.TrimSpace(string(data))) == 0 {
-		return nil
+	if len(bytes.TrimSpace(data)) == 0 {
+		return req, nil
 	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err = dec.Decode(&req)
+	return req, err
 }
 
 // experimentKnown reports whether id is a valid experiment identifier.

@@ -6,12 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hprefetch/internal/harness"
+	"hprefetch/internal/workloads"
 )
 
 // newTestServer builds a Server plus its HTTP front door and registers
@@ -290,6 +292,26 @@ func TestExperimentJob(t *testing.T) {
 	}
 	if !strings.Contains(done.Table.Text, "Figure 9") {
 		t.Fatal("rendered table text missing")
+	}
+
+	// quick without workloads runs QuickRunConfig's subset, as it does
+	// in hpsim and the library.
+	resp = postJSON(t, ts.URL+"/v1/experiments/fig9", RunRequest{Quick: true, WarmInstr: 50_000, MeasureInstr: 100_000})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("quick experiment submit returned %d", resp.StatusCode)
+	}
+	done = await(t, ts, decode[JobView](t, resp).ID, 5*time.Minute)
+	if done.State != JobDone {
+		t.Fatalf("quick experiment finished %s (%s)", done.State, done.Error)
+	}
+	var ran []string
+	for _, row := range done.Table.Rows {
+		if _, err := workloads.Get(row[0]); err == nil {
+			ran = append(ran, row[0])
+		}
+	}
+	if want := harness.QuickRunConfig().Workloads; !reflect.DeepEqual(ran, want) {
+		t.Fatalf("quick experiment ran workloads %v, want %v", ran, want)
 	}
 }
 
