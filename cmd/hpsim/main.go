@@ -126,11 +126,11 @@ func main() {
 			fmt.Printf("sampling:  %d intervals, IPC %.3f ± %.3f, %.0f%% detailed\n",
 				st.SampleIntervals, st.SampleIPCMean, st.SampleIPCStdErr, st.SampleDetailedFrac*100)
 		}
-		if st.GovernorIntervals > 0 {
+		if g := st.Governor; g != nil && g.Intervals > 0 {
 			fmt.Printf("governor:  %d intervals, %d up / %d down, final %s\n",
-				st.GovernorIntervals, st.GovernorStepUps, st.GovernorStepDowns, st.GovernorFinalLevel)
-			if st.GovernorSchedule != "" {
-				fmt.Printf("schedule:  %s\n", st.GovernorSchedule)
+				g.Intervals, g.StepUps, g.StepDowns, g.Level)
+			if sched := g.Schedule(); sched != "" {
+				fmt.Printf("schedule:  %s\n", sched)
 			}
 		}
 		if st.TLBDropped > 0 {

@@ -19,11 +19,11 @@ package hprefetch
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"hprefetch/internal/fault"
 	"hprefetch/internal/fleet"
 	"hprefetch/internal/harness"
+	"hprefetch/internal/service"
 	"hprefetch/internal/sim"
 	"hprefetch/internal/tracefile"
 	"hprefetch/internal/workloads"
@@ -31,48 +31,39 @@ import (
 
 // Scheme selects the prefetching configuration under evaluation. All
 // schemes run on top of the FDIP front-end, as in the paper.
-type Scheme string
+type Scheme = harness.Scheme
 
 // The available schemes.
 const (
 	// FDIP is the fetch-directed-instruction-prefetching baseline.
-	FDIP Scheme = "FDIP"
+	FDIP = harness.SchemeFDIP
 	// EFetch is the caller-callee baseline (PACT 2014).
-	EFetch Scheme = "EFetch"
+	EFetch = harness.SchemeEFetch
 	// MANA is the temporal-streaming baseline (IEEE TC 2022).
-	MANA Scheme = "MANA"
+	MANA = harness.SchemeMANA
 	// EIP is the entangling baseline (ISCA 2021, IPC-1 winner).
-	EIP Scheme = "EIP"
+	EIP = harness.SchemeEIP
 	// Hierarchical is the paper's contribution.
-	Hierarchical Scheme = "Hierarchical"
+	Hierarchical = harness.SchemeHier
 	// PerfectL1I is the all-hits upper bound.
-	PerfectL1I Scheme = "PerfectL1I"
+	PerfectL1I = harness.SchemePerfect
 	// GHB is the history-buffer baseline: a classic Global History
 	// Buffer instruction prefetcher (discontinuity-trained footprint
 	// spray) used as the throttling experiment's tunable substrate.
-	GHB Scheme = "GHB"
+	GHB = harness.SchemeGHB
 	// GHBTLB is the TLB-aware GHB variant: candidate prefetches whose
 	// page misses the I-TLB are dropped instead of issued, trading
 	// coverage for pollution immunity.
-	GHBTLB Scheme = "GHB-TLB"
+	GHBTLB = harness.SchemeGHBTLB
 )
 
 // Schemes lists the evaluated schemes in figure order.
-func Schemes() []Scheme {
-	return []Scheme{FDIP, EFetch, MANA, EIP, Hierarchical}
-}
+func Schemes() []Scheme { return harness.Schemes() }
 
 // AllSchemes lists every runnable scheme — the evaluated set plus the
 // PerfectL1I bound and the GHB-family baselines — in registry order
 // (stable across processes).
-func AllSchemes() []Scheme {
-	in := harness.AllSchemes()
-	out := make([]Scheme, len(in))
-	for i, s := range in {
-		out[i] = Scheme(s)
-	}
-	return out
-}
+func AllSchemes() []Scheme { return harness.AllSchemes() }
 
 // Workloads lists the eleven server workloads of §6.2.
 func Workloads() []string { return workloads.Names() }
@@ -115,69 +106,10 @@ func FaultClasses() []string {
 	return out
 }
 
-// RunStats summarises one simulation.
-type RunStats struct {
-	// Workload and Scheme echo the run inputs.
-	Workload string
-	Scheme   Scheme
-	// IPC is instructions per cycle.
-	IPC float64
-	// SpeedupOverFDIP is IPC relative to the FDIP baseline of the same
-	// workload and options (0 for the baseline itself).
-	SpeedupOverFDIP float64
-	// Instructions and Cycles are the measured totals.
-	Instructions uint64
-	Cycles       float64
-	// PrefetchAccuracy, CoverageL1, CoverageL2, LateFraction and
-	// AvgPrefetchDistance describe the evaluated prefetcher (zero for
-	// FDIP/PerfectL1I).
-	PrefetchAccuracy    float64
-	CoverageL1          float64
-	CoverageL2          float64
-	LateFraction        float64
-	AvgPrefetchDistance float64
-	// BranchMPKI and L1IMPKI are mispredictions and clean L1-I misses
-	// per kilo-instruction.
-	BranchMPKI float64
-	L1IMPKI    float64
-	// TagDrops and BundleRejects count Bundle hints discarded by the
-	// loader and the prefetcher's degraded-mode validation. Nonzero only
-	// under fault injection (Options.Fault).
-	TagDrops      int
-	BundleRejects uint64
-	// StatsDigest is a stable fingerprint of every counter the run
-	// produced. Simulations are deterministic: the same workload,
-	// scheme and options yield the same digest in any process, so two
-	// digests differing means behaviour changed (see EXPERIMENTS.md,
-	// "Determinism and digests").
-	StatsDigest string
-	// SampleIntervals, SampleIPCMean, SampleIPCStdErr and
-	// SampleDetailedFrac describe an interval-sampled run
-	// (Options.Sample): how many detailed intervals were measured, the
-	// unweighted mean and standard error of their per-interval IPCs
-	// (the error bar on IPC), and the fraction of simulated
-	// instructions that ran in detailed mode. Zero for exact runs.
-	SampleIntervals    int
-	SampleIPCMean      float64
-	SampleIPCStdErr    float64
-	SampleDetailedFrac float64
-	// TLBMissFraction and TLBDropped describe TLB-aware filtering
-	// (GHB-TLB): the fraction of candidate prefetches whose page missed
-	// the I-TLB, and how many were dropped for it. Zero elsewhere.
-	TLBMissFraction float64
-	TLBDropped      uint64
-	// GovernorIntervals, GovernorStepUps, GovernorStepDowns,
-	// GovernorFinalLevel and GovernorSchedule describe an adaptive run
-	// (Options.Governed): how many feedback intervals the governor
-	// sampled, how often it raised or lowered aggressiveness, the level
-	// it ended at, and the canonical transition schedule (empty when it
-	// never moved). Zero/empty for static runs.
-	GovernorIntervals  uint64
-	GovernorStepUps    uint64
-	GovernorStepDowns  uint64
-	GovernorFinalLevel string
-	GovernorSchedule   string
-}
+// RunStats summarises one simulation. It is the hpserved run result
+// (service.RunResult): the JSON a served run returns and the value
+// Simulate returns are one type, computed by one function.
+type RunStats = service.RunResult
 
 // Simulate runs one workload under one scheme and returns its metrics.
 func Simulate(workload string, scheme Scheme, opt *Options) (RunStats, error) {
@@ -185,87 +117,17 @@ func Simulate(workload string, scheme Scheme, opt *Options) (RunStats, error) {
 	if err != nil {
 		return RunStats{}, err
 	}
-	r, err := harness.Run(workload, harness.Scheme(scheme), rc)
+	r, err := service.ComputeRunResult(context.Background(), workload, string(scheme), rc)
 	if err != nil {
 		return RunStats{}, err
 	}
-	out := RunStats{
-		Workload:            workload,
-		Scheme:              scheme,
-		IPC:                 r.Stats.IPC(),
-		Instructions:        r.Stats.Instructions,
-		Cycles:              r.Stats.Cycles(),
-		PrefetchAccuracy:    r.Stats.PFAccuracy(),
-		CoverageL1:          r.Stats.PFCoverageL1(),
-		CoverageL2:          r.Stats.PFCoverageL2(),
-		LateFraction:        r.Stats.PFLateFraction(),
-		AvgPrefetchDistance: r.Stats.PFAvgDistance(),
-		BranchMPKI:          r.Stats.MPKI(),
-		L1IMPKI:             r.Stats.L1IMPKI(),
-		TagDrops:            r.TagDrops,
-		BundleRejects:       r.BundleRejects,
-		StatsDigest:         r.Stats.Digest(),
-	}
-	if r.Sample != nil {
-		out.SampleIntervals = r.Sample.Intervals
-		out.SampleIPCMean = r.Sample.IPCMean
-		out.SampleIPCStdErr = r.Sample.IPCStdErr
-		out.SampleDetailedFrac = r.Sample.DetailedFrac
-	}
-	out.TLBMissFraction = r.Stats.PFTLBMissFraction()
-	out.TLBDropped = r.Stats.PFTLBDropped
-	if r.Governor != nil {
-		out.GovernorIntervals = r.Governor.Intervals
-		out.GovernorStepUps = r.Governor.StepUps
-		out.GovernorStepDowns = r.Governor.StepDowns
-		out.GovernorFinalLevel = r.Governor.Level
-		out.GovernorSchedule = r.Governor.Schedule()
-	}
-	if scheme != FDIP {
-		sp, err := harness.Speedup(workload, harness.Scheme(scheme), rc)
-		if err != nil {
-			return RunStats{}, err
-		}
-		out.SpeedupOverFDIP = sp
-	}
-	return out, nil
+	return *r, nil
 }
 
-// Table is a rendered experiment result (one paper figure or table).
-type Table struct {
-	// ID is the paper artifact ("Figure 9", "Table 2", ...).
-	ID string
-	// Title describes the rows.
-	Title string
-	// Header and Rows hold the formatted cells.
-	Header []string
-	Rows   [][]string
-	// Notes carries the paper's reference values and any caveats.
-	Notes []string
-}
-
-// Fprint renders the table as aligned text.
-func (t *Table) Fprint(w io.Writer) { t.internal().Fprint(w) }
-
-// String renders the table to a string.
-func (t *Table) String() string { return t.internal().String() }
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string { return t.internal().CSV() }
-
-// Digest returns a stable fingerprint of the table's full content.
-// Experiments are deterministic, so the digest is identical across
-// processes and machines for the same inputs; `hpsim -digest` prints
-// these for reproducibility checks.
-func (t *Table) Digest() string { return t.internal().Digest() }
-
-func (t *Table) internal() *harness.Table {
-	return &harness.Table{ID: t.ID, Title: t.Title, Header: t.Header, Rows: t.Rows, Notes: t.Notes}
-}
-
-func fromInternal(t *harness.Table) *Table {
-	return &Table{ID: t.ID, Title: t.Title, Header: t.Header, Rows: t.Rows, Notes: t.Notes}
-}
+// Table is a rendered experiment result (one paper figure or table):
+// Fprint, String and CSV render it, and Digest fingerprints its full
+// content for `hpsim -digest` reproducibility checks.
+type Table = harness.Table
 
 // ExperimentIDs lists the experiments RunExperiment accepts, in paper
 // order: fig1, fig2a-c, fig3, fig4, fig9-fig17, table2-table4.
@@ -284,11 +146,7 @@ func RunExperiment(id string, opt *Options) (*Table, error) {
 	if p := parallel(opt); p > 1 {
 		harness.DefaultRunner().Warm(rc, p)
 	}
-	tbl, err := harness.Experiment(id, rc)
-	if err != nil {
-		return nil, err
-	}
-	return fromInternal(tbl), nil
+	return harness.Experiment(id, rc)
 }
 
 // RunAllExperiments regenerates every experiment in paper order. With
@@ -304,12 +162,7 @@ func RunAllExperiments(opt *Options) ([]*Table, error) {
 	if p > 1 {
 		harness.DefaultRunner().Warm(rc, p)
 	}
-	tbls, err := harness.AllExperimentsParallel(rc, p)
-	out := make([]*Table, len(tbls))
-	for i, t := range tbls {
-		out[i] = fromInternal(t)
-	}
-	return out, err
+	return harness.AllExperimentsParallel(rc, p)
 }
 
 // RunSweep runs a workload × scheme IPC sweep locally, single-node.
@@ -327,11 +180,7 @@ func RunSweep(schemes []string, opt *Options) (*Table, error) {
 		sp = *opt
 	}
 	sp.Schemes = schemes
-	t, err := fleet.RunLocal(context.Background(), sp)
-	if err != nil {
-		return nil, err
-	}
-	return fromInternal(t), nil
+	return fleet.RunLocal(context.Background(), sp)
 }
 
 // TraceSummary describes a recorded block-event trace file.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hprefetch/internal/harness"
 	"hprefetch/internal/service"
 )
 
@@ -108,7 +109,7 @@ func (f *fakeBackend) handlePoll(w http.ResponseWriter, r *http.Request) {
 	view.State = service.JobDone
 	view.Result = &service.RunResult{
 		Workload:    j.req.Workload,
-		Scheme:      j.req.Scheme,
+		Scheme:      harness.Scheme(j.req.Scheme),
 		IPC:         1.2345,
 		StatsDigest: digest,
 	}
@@ -279,7 +280,7 @@ func TestCorpusQuarantineRedispatch(t *testing.T) {
 			return
 		}
 		json.NewEncoder(w).Encode(service.JobView{ID: id, Kind: "run", State: service.JobDone, //nolint:errcheck
-			Result: &service.RunResult{Workload: req.Workload, Scheme: req.Scheme, IPC: 1.5,
+			Result: &service.RunResult{Workload: req.Workload, Scheme: harness.Scheme(req.Scheme), IPC: 1.5,
 				StatsDigest: "fnv1a64:feedfacecafebeef", TraceSource: "live"}})
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })

@@ -17,7 +17,7 @@ import (
 	"hprefetch/internal/workloads"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_digests.json from the current behaviour")
+var updateGolden = flag.Bool("update", false, "rewrite the committed digests under testdata/ from the current behaviour")
 
 // goldenEntry is one committed (workload, scheme) fingerprint. IPC and
 // the late fraction ride along as formatted strings so a digest
@@ -30,7 +30,10 @@ type goldenEntry struct {
 	PFLateFraction string `json:"pf_late_fraction"`
 }
 
-const goldenPath = "testdata/golden_digests.json"
+const (
+	goldenPath        = "testdata/golden_digests.json"
+	sampledGoldenPath = "testdata/sampled_digests.json"
+)
 
 // goldenRunConfig is the tiny, fixed configuration behind the committed
 // matrix. Changing anything here invalidates every golden digest —
@@ -86,18 +89,48 @@ func goldenRun(t *testing.T, w string, s Scheme, rc RunConfig) goldenEntry {
 	}
 }
 
-// readGoldens returns the committed fingerprints.
-func readGoldens(t *testing.T) []goldenEntry {
+// readGoldens returns the committed fingerprints of the exact matrix.
+func readGoldens(t *testing.T) []goldenEntry { return readGoldenFile(t, goldenPath) }
+
+// readGoldenFile returns the fingerprints committed at path.
+func readGoldenFile(t *testing.T, path string) []goldenEntry {
 	t.Helper()
-	data, err := os.ReadFile(filepath.FromSlash(goldenPath))
+	data, err := os.ReadFile(filepath.FromSlash(path))
 	if err != nil {
 		t.Fatalf("reading goldens (refresh with -update): %v", err)
 	}
 	var want []goldenEntry
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parsing %s: %v", goldenPath, err)
+		t.Fatalf("parsing %s: %v", path, err)
 	}
 	return want
+}
+
+// checkGoldenFile compares got with the fingerprints committed at path,
+// or rewrites the file under -update.
+func checkGoldenFile(t *testing.T, path string, got []goldenEntry) {
+	t.Helper()
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.FromSlash(path), append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s with %d entries", path, len(got))
+		return
+	}
+	want := readGoldenFile(t, path)
+	if len(got) != len(want) {
+		t.Fatalf("%d runs, %s has %d entries; refresh with -update", len(got), path, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s/%s drifted:\n  golden: %+v\n  got:    %+v",
+				want[i].Workload, want[i].Scheme, want[i], got[i])
+		}
+	}
 }
 
 // goldenFor returns the committed fingerprint of one pair.
@@ -118,26 +151,9 @@ func goldenFor(t *testing.T, goldens []goldenEntry, w string, s Scheme) goldenEn
 // by refreshing the goldens with -update.
 func TestGoldenDigestMatrix(t *testing.T) {
 	got := goldenMatrix(t)
+	checkGoldenFile(t, goldenPath, got)
 	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.FromSlash(goldenPath), append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s with %d entries", goldenPath, len(got))
 		return
-	}
-	want := readGoldens(t)
-	if len(got) != len(want) {
-		t.Fatalf("matrix size %d, goldens have %d entries; refresh with -update", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("%s/%s drifted:\n  golden: %+v\n  got:    %+v",
-				want[i].Workload, want[i].Scheme, want[i], got[i])
-		}
 	}
 
 	// The matrix must exercise the late-prefetch metric: at least one
@@ -153,6 +169,23 @@ func TestGoldenDigestMatrix(t *testing.T) {
 	if !anyLate {
 		t.Error("no golden run reports a late prefetch; PFLateFraction is dead again")
 	}
+}
+
+// TestSampledGoldenDigests locks interval-sampled runs, whose
+// statistics are the per-interval Stats folded by Stats.AddFrom, to
+// committed fingerprints, so a change in how the intervals aggregate
+// fails here rather than only between two runs of the same build.
+func TestSampledGoldenDigests(t *testing.T) {
+	rc := goldenRunConfig()
+	rc.Sample = goldenSampleSpec()
+	var got []goldenEntry
+	for _, p := range []struct {
+		w string
+		s Scheme
+	}{{"gin", SchemeHier}, {"chain-burst", SchemeFDIP}, {"tidb-tpcc", SchemeMANA}} {
+		got = append(got, goldenRun(t, p.w, p.s, rc))
+	}
+	checkGoldenFile(t, sampledGoldenPath, got)
 }
 
 // TestGoldenDigestsOnRecycledTables: a run takes its machine's tables

@@ -566,18 +566,20 @@ func Speedup(workload string, scheme Scheme, rc RunConfig) (float64, error) {
 	return r.Stats.IPC()/base.Stats.IPC() - 1, nil
 }
 
-// Table is a printable experiment result.
+// Table is a printable experiment result (one paper figure or table).
+// Its JSON form is the hpserved experiment result's.
 type Table struct {
 	// ID labels the experiment ("Figure 9", "Table 2", ...).
-	ID string
+	ID string `json:"id"`
 	// Title describes what the rows show.
-	Title string
+	Title string `json:"title"`
 	// Header holds column names.
-	Header []string
+	Header []string `json:"header"`
 	// Rows holds formatted cells.
-	Rows [][]string
-	// Notes holds free-form caveats appended after the table.
-	Notes []string
+	Rows [][]string `json:"rows"`
+	// Notes holds the paper's reference values and free-form caveats
+	// appended after the table.
+	Notes []string `json:"notes,omitempty"`
 }
 
 // Fprint renders the table as aligned text.

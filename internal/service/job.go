@@ -36,24 +36,41 @@ func (s JobState) Terminal() bool {
 // fields (Parallel, CorpusDir) never cross the wire.
 type RunRequest = harness.RunSpec
 
-// RunResult summarises a completed simulation for the API.
+// RunResult summarises one completed simulation. It is the only run
+// result type: the hpserved API serves it as JSON, the fleet aggregates
+// it, and the facade exposes it as hprefetch.RunStats.
 type RunResult struct {
-	Workload        string  `json:"workload"`
-	Scheme          string  `json:"scheme"`
+	// Workload and Scheme echo the run inputs.
+	Workload string         `json:"workload"`
+	Scheme   harness.Scheme `json:"scheme"`
+	// IPC is instructions per cycle; SpeedupOverFDIP is IPC relative to
+	// the FDIP baseline of the same workload and configuration (0 for
+	// the baseline itself).
 	IPC             float64 `json:"ipc"`
 	SpeedupOverFDIP float64 `json:"speedup_over_fdip"`
-	Instructions    uint64  `json:"instructions"`
-	BranchMPKI      float64 `json:"branch_mpki"`
-	L1IMPKI         float64 `json:"l1i_mpki"`
+	// Instructions and Cycles are the measured totals.
+	Instructions uint64  `json:"instructions"`
+	Cycles       float64 `json:"cycles"`
+	// BranchMPKI and L1IMPKI are mispredictions and clean L1-I misses
+	// per kilo-instruction.
+	BranchMPKI float64 `json:"branch_mpki"`
+	L1IMPKI    float64 `json:"l1i_mpki"`
 	// Prefetcher metrics (zero for FDIP/PerfectL1I).
-	PrefetchAccuracy float64 `json:"prefetch_accuracy,omitempty"`
-	CoverageL1       float64 `json:"coverage_l1,omitempty"`
-	CoverageL2       float64 `json:"coverage_l2,omitempty"`
-	LateFraction     float64 `json:"late_fraction,omitempty"`
-	AvgDistance      float64 `json:"avg_prefetch_distance,omitempty"`
-	// StatsDigest fingerprints every counter of the run; identical
-	// requests to any server instance return identical digests, so
-	// clients can verify reproducibility end to end.
+	PrefetchAccuracy    float64 `json:"prefetch_accuracy,omitempty"`
+	CoverageL1          float64 `json:"coverage_l1,omitempty"`
+	CoverageL2          float64 `json:"coverage_l2,omitempty"`
+	LateFraction        float64 `json:"late_fraction,omitempty"`
+	AvgPrefetchDistance float64 `json:"avg_prefetch_distance,omitempty"`
+	// TagDrops and BundleRejects count Bundle hints discarded by the
+	// loader and by the prefetcher's degraded-mode validation; nonzero
+	// only under fault injection (RunRequest.Fault).
+	TagDrops      int    `json:"tag_drops,omitempty"`
+	BundleRejects uint64 `json:"bundle_rejects,omitempty"`
+	// StatsDigest fingerprints every counter of the run. Simulations are
+	// deterministic: the same workload, scheme and configuration yield
+	// the same digest in any process, so clients can verify
+	// reproducibility end to end (EXPERIMENTS.md, "Determinism and
+	// digests").
 	StatsDigest string `json:"stats_digest"`
 	// Sampled-run metrics (RunRequest.Sample): interval count, mean and
 	// standard error of per-interval IPC, and the detailed-instruction
@@ -79,14 +96,11 @@ type RunResult struct {
 	Governor *feedback.Summary `json:"governor,omitempty"`
 }
 
-// TableResult is a rendered experiment table for the API.
+// TableResult is a rendered experiment table for the API: the table's
+// fields plus its aligned-text rendering.
 type TableResult struct {
-	ID     string     `json:"id"`
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Notes  []string   `json:"notes,omitempty"`
-	Text   string     `json:"text"`
+	harness.Table
+	Text string `json:"text"`
 }
 
 // Job is one queued unit of work and its eventual outcome. All mutable

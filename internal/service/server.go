@@ -518,9 +518,10 @@ func (j *Job) latencyLabel() string {
 
 // ComputeRunResult performs a (workload, scheme) simulation plus its
 // FDIP baseline (for the speedup column) through the shared Runner and
-// assembles the API result. Exported so the fleet coordinator's local
-// execution path produces values identical to a backend job's — the
-// determinism guarantee that makes fleet digest cross-checks exact.
+// assembles the run result. It is the one place a harness.Result turns
+// into a RunResult: backend jobs, the fleet coordinator's local path
+// and hprefetch.Simulate all call it, so their values are identical —
+// the determinism guarantee that makes fleet digest cross-checks exact.
 func ComputeRunResult(ctx context.Context, workload, scheme string, rc harness.RunConfig) (*RunResult, error) {
 	rc.Ctx = ctx
 	sc := harness.Scheme(scheme)
@@ -529,23 +530,26 @@ func ComputeRunResult(ctx context.Context, workload, scheme string, rc harness.R
 		return nil, err
 	}
 	out := &RunResult{
-		Workload:         workload,
-		Scheme:           scheme,
-		IPC:              r.Stats.IPC(),
-		Instructions:     r.Stats.Instructions,
-		BranchMPKI:       r.Stats.MPKI(),
-		L1IMPKI:          r.Stats.L1IMPKI(),
-		PrefetchAccuracy: r.Stats.PFAccuracy(),
-		CoverageL1:       r.Stats.PFCoverageL1(),
-		CoverageL2:       r.Stats.PFCoverageL2(),
-		LateFraction:     r.Stats.PFLateFraction(),
-		AvgDistance:      r.Stats.PFAvgDistance(),
-		StatsDigest:      r.Stats.Digest(),
-		TraceSource:      r.TraceSource,
-		CorpusHealed:     r.CorpusHealed,
-		TLBMissFraction:  r.Stats.PFTLBMissFraction(),
-		TLBDropped:       r.Stats.PFTLBDropped,
-		Governor:         r.Governor,
+		Workload:            workload,
+		Scheme:              sc,
+		IPC:                 r.Stats.IPC(),
+		Instructions:        r.Stats.Instructions,
+		Cycles:              r.Stats.Cycles(),
+		BranchMPKI:          r.Stats.MPKI(),
+		L1IMPKI:             r.Stats.L1IMPKI(),
+		PrefetchAccuracy:    r.Stats.PFAccuracy(),
+		CoverageL1:          r.Stats.PFCoverageL1(),
+		CoverageL2:          r.Stats.PFCoverageL2(),
+		LateFraction:        r.Stats.PFLateFraction(),
+		AvgPrefetchDistance: r.Stats.PFAvgDistance(),
+		TagDrops:            r.TagDrops,
+		BundleRejects:       r.BundleRejects,
+		StatsDigest:         r.Stats.Digest(),
+		TraceSource:         r.TraceSource,
+		CorpusHealed:        r.CorpusHealed,
+		TLBMissFraction:     r.Stats.PFTLBMissFraction(),
+		TLBDropped:          r.Stats.PFTLBDropped,
+		Governor:            r.Governor,
 	}
 	if r.Sample != nil {
 		out.SampleIntervals = r.Sample.Intervals
@@ -591,14 +595,7 @@ func (s *Server) execExperiment(ctx context.Context, j *Job) error {
 		return err
 	}
 	j.mu.Lock()
-	j.table = &TableResult{
-		ID:     tbl.ID,
-		Title:  tbl.Title,
-		Header: tbl.Header,
-		Rows:   tbl.Rows,
-		Notes:  tbl.Notes,
-		Text:   tbl.String(),
-	}
+	j.table = &TableResult{Table: *tbl, Text: tbl.String()}
 	j.mu.Unlock()
 	return nil
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "reflect"
+
 // DistanceBuckets are the prefetch-distance histogram bucket upper bounds
 // (in cache blocks), matching the Figure 2c analysis.
 var DistanceBuckets = []uint64{2, 4, 8, 16, 32, 64, 128, 256, 1 << 62}
@@ -89,7 +91,7 @@ type Stats struct {
 	// cycles) is what the tail percentiles read.
 	ReqCompleted uint64
 	ReqStallSum  uint64 // scaled units over completed requests
-	ReqStallMax  uint64 // scaled units, worst completed request
+	ReqStallMax  uint64 `stats:"max"` // scaled units, worst completed request
 	ReqStallHist []uint64
 }
 
@@ -102,80 +104,28 @@ func NewStats() *Stats {
 	}
 }
 
-// AddFrom accumulates o into s field by field: counters and latency
-// sums add, histograms add element-wise, and ReqStallMax takes the
-// maximum. Interval sampling folds each measured interval's statistics
-// into one aggregate with it.
+// AddFrom accumulates o into s by walking the struct the way Canonical
+// does: scalar counters and latency sums add, arrays and slices
+// (histograms) add element-wise over their common length, and a field
+// tagged `stats:"max"` (ReqStallMax) takes the maximum. Interval
+// sampling folds each measured interval's statistics into one
+// aggregate with it. A new counter needs only its field.
 func (s *Stats) AddFrom(o *Stats) {
-	s.Instructions += o.Instructions
-	s.ScaledCycles += o.ScaledCycles
-	s.Requests += o.Requests
-	s.CondMispredicts += o.CondMispredicts
-	s.IndirectMispredicts += o.IndirectMispredicts
-	s.RASMispredicts += o.RASMispredicts
-	s.BTBMissRedirects += o.BTBMissRedirects
-	s.Branches += o.Branches
-	s.L1IDemandHits += o.L1IDemandHits
-	s.L1IDemandMisses += o.L1IDemandMisses
-	s.L1ILateHits += o.L1ILateHits
-	s.ServedL2 += o.ServedL2
-	s.ServedLLC += o.ServedLLC
-	s.ServedMem += o.ServedMem
-	s.LatencyL2Sum += o.LatencyL2Sum
-	s.LatencyLLCSum += o.LatencyLLCSum
-	s.LatencyMemSum += o.LatencyMemSum
-	s.LateFDIP += o.LateFDIP
-	s.LatePF += o.LatePF
-	s.LateFDIPStallSum += o.LateFDIPStallSum
-	s.LatePFStallSum += o.LatePFStallSum
-	for i := range s.LateFDIPByLevel {
-		s.LateFDIPByLevel[i] += o.LateFDIPByLevel[i]
-		s.LatePFByLevel[i] += o.LatePFByLevel[i]
-	}
-	s.StallScaled += o.StallScaled
-	s.TLBMisses += o.TLBMisses
-	s.TLBHits += o.TLBHits
-	s.FDIPIssued += o.FDIPIssued
-	s.FDIPUseful += o.FDIPUseful
-	s.FDIPUseless += o.FDIPUseless
-	s.PFIssued += o.PFIssued
-	s.PFRedundant += o.PFRedundant
-	s.PFDropped += o.PFDropped
-	s.PFUseful += o.PFUseful
-	s.PFUseless += o.PFUseless
-	s.PFDistSum += o.PFDistSum
-	s.PFDistCount += o.PFDistCount
-	for i := range s.PFDistHist {
-		if i < len(o.PFDistHist) {
-			s.PFDistHist[i] += o.PFDistHist[i]
-			s.PFDistUseful[i] += o.PFDistUseful[i]
-		}
-	}
-	s.PFTLBMiss += o.PFTLBMiss
-	s.PFTLBDropped += o.PFTLBDropped
-	s.L2CoveredByPF += o.L2CoveredByPF
-	s.L2Beyond += o.L2Beyond
-	s.FaultPFDrops += o.FaultPFDrops
-	s.FaultPFDelays += o.FaultPFDelays
-	s.FaultJitteredFills += o.FaultJitteredFills
-	s.FaultMSHRBlocks += o.FaultMSHRBlocks
-	s.FaultTagFlips += o.FaultTagFlips
-	s.MemBlocksDemand += o.MemBlocksDemand
-	s.MemBlocksFDIP += o.MemBlocksFDIP
-	s.MemBlocksPF += o.MemBlocksPF
-	s.MemBlocksMeta += o.MemBlocksMeta
-	s.MetaReads += o.MetaReads
-	s.MetaWrites += o.MetaWrites
-	s.MetaReadBlocks += o.MetaReadBlocks
-	s.MetaWriteBlocks += o.MetaWriteBlocks
-	s.ReqCompleted += o.ReqCompleted
-	s.ReqStallSum += o.ReqStallSum
-	if o.ReqStallMax > s.ReqStallMax {
-		s.ReqStallMax = o.ReqStallMax
-	}
-	for i := range s.ReqStallHist {
-		if i < len(o.ReqStallHist) {
-			s.ReqStallHist[i] += o.ReqStallHist[i]
+	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o).Elem()
+	t := dst.Type()
+	for i := 0; i < t.NumField(); i++ {
+		d, f := dst.Field(i), src.Field(i)
+		switch d.Kind() {
+		case reflect.Slice, reflect.Array:
+			for j := 0; j < min(d.Len(), f.Len()); j++ {
+				d.Index(j).SetUint(d.Index(j).Uint() + f.Index(j).Uint())
+			}
+		default:
+			if t.Field(i).Tag.Get("stats") == "max" {
+				d.SetUint(max(d.Uint(), f.Uint()))
+			} else {
+				d.SetUint(d.Uint() + f.Uint())
+			}
 		}
 	}
 }

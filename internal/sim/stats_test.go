@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -195,5 +196,67 @@ func TestRatioAccessorsZeroDenominator(t *testing.T) {
 	}
 	if got := full.PFAvgDistance(); got != 10 {
 		t.Errorf("PFAvgDistance = %v, want 10", got)
+	}
+}
+
+// TestAddFromFoldsEveryField fills every Stats field with a distinct
+// non-zero value and folds it twice into a fresh aggregate: each
+// counter and histogram element must double, except ReqStallMax, which
+// keeps the maximum. A field AddFrom skipped would stay zero here.
+func TestAddFromFoldsEveryField(t *testing.T) {
+	o := NewStats()
+	v := reflect.ValueOf(o).Elem()
+	n := uint64(1)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Slice, reflect.Array:
+			if f.Len() == 0 {
+				t.Fatalf("%s has no elements to fill", v.Type().Field(i).Name)
+			}
+			for j := 0; j < f.Len(); j++ {
+				f.Index(j).SetUint(n)
+				n++
+			}
+		default:
+			f.SetUint(n)
+			n++
+		}
+	}
+
+	agg := NewStats()
+	agg.AddFrom(o)
+	agg.AddFrom(o)
+	got := reflect.ValueOf(agg).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		want := func(x uint64) uint64 { return 2 * x }
+		if name == "ReqStallMax" {
+			want = func(x uint64) uint64 { return x }
+		}
+		f, g := v.Field(i), got.Field(i)
+		switch f.Kind() {
+		case reflect.Slice, reflect.Array:
+			for j := 0; j < f.Len(); j++ {
+				if g.Index(j).Uint() != want(f.Index(j).Uint()) {
+					t.Errorf("%s[%d] = %d after two folds of %d", name, j, g.Index(j).Uint(), f.Index(j).Uint())
+				}
+			}
+		default:
+			if g.Uint() != want(f.Uint()) {
+				t.Errorf("%s = %d after two folds of %d", name, g.Uint(), f.Uint())
+			}
+		}
+	}
+
+	small := NewStats()
+	small.ReqStallMax = 1
+	agg.AddFrom(small)
+	if agg.ReqStallMax != o.ReqStallMax {
+		t.Errorf("ReqStallMax = %d after folding a smaller maximum, want %d", agg.ReqStallMax, o.ReqStallMax)
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() { agg.AddFrom(o) }); allocs != 0 {
+		t.Errorf("AddFrom allocates %.1f times per call, want 0", allocs)
 	}
 }
