@@ -14,6 +14,22 @@
 // Algorithm 1 is probing for. On graphs small enough to stay below the
 // cap, the analysis is bit-for-bit the paper's Algorithm 1; tests verify
 // this against a brute-force reference.
+//
+// The searches run on the condensation of the graph (one node per
+// strongly connected component) and reuse sealed subtrees. A component
+// is sealed when each of its callees has exactly one caller and is
+// itself sealed — the shape of the generator's cold trees and of most of
+// every orphan tree. A sealed component's reach is its own size plus its
+// callees' reaches, computed once, and a search that reaches a sealed
+// component adds that reach instead of walking the subtree again. This
+// is exact, not an approximation. Everything a sealed component s
+// reaches, apart from s itself, is called only from inside that set, so
+// any search starting outside it enters it through s and nowhere else.
+// Two such sets are therefore either nested or disjoint: a search that
+// stops at s never counts any of its code twice, and the callees of a
+// sealed component own disjoint sets, so their sum counts nothing twice
+// either. Saturation flags, every unsaturated reachable size and the
+// entry set are the same as with one full capped search per component.
 package callgraph
 
 import (
@@ -145,8 +161,9 @@ const DefaultThreshold = 200 << 10
 
 // Analysis is the result of running Algorithm 1 over a graph.
 type Analysis struct {
-	// Reach holds per-function reachable sizes in bytes; values at or
-	// above the cap are partial sums (see Saturated).
+	// Reach holds per-function reachable sizes in bytes. Values of
+	// saturated functions are only a lower bound, at least Cap; which
+	// bound depends on the search order (see Saturated).
 	Reach []uint64
 	// Saturated marks functions whose reachable size hit the cap.
 	Saturated []bool
@@ -154,6 +171,8 @@ type Analysis struct {
 	Entries []isa.FuncID
 	// Threshold echoes the threshold used.
 	Threshold uint64
+	// Cap echoes the saturation cap used.
+	Cap uint64
 }
 
 // IsEntry reports whether v was identified as a Bundle entry point.
@@ -173,6 +192,12 @@ func (a *Analysis) IsEntry(v isa.FuncID) bool {
 // Analyze runs reachable-size computation and Bundle entry identification
 // (Algorithm 1) over the graph.
 func Analyze(g *Graph, opt Options) (*Analysis, error) {
+	return analyze(g, opt, (*condensation).reachable)
+}
+
+// analyze is Analyze with the reachable-size computation as a parameter,
+// so tests can run Algorithm 1 over a reference search.
+func analyze(g *Graph, opt Options, reachable func(*condensation, uint64) ([]uint64, []bool)) (*Analysis, error) {
 	if opt.Threshold == 0 {
 		return nil, fmt.Errorf("callgraph: zero threshold")
 	}
@@ -184,12 +209,13 @@ func Analyze(g *Graph, opt Options) (*Analysis, error) {
 		return nil, fmt.Errorf("callgraph: cap %d below threshold %d", cap, opt.Threshold)
 	}
 	comp, compOf := scc(g)
-	reachC, satC := comp.reachable(cap)
+	reachC, satC := reachable(comp, cap)
 
 	a := &Analysis{
 		Reach:     make([]uint64, g.n),
 		Saturated: make([]bool, g.n),
 		Threshold: opt.Threshold,
+		Cap:       cap,
 	}
 	for v := 0; v < g.n; v++ {
 		a.Reach[v] = reachC[compOf[v]]
@@ -374,31 +400,54 @@ func scc(g *Graph) (*condensation, []int32) {
 }
 
 // reachable computes, for every component, the total code size reachable
-// from it (itself included), saturating at cap. Since component IDs are
-// in reverse topological order, components reachable from c all have
-// IDs < c — but overlap between children forbids simple summation, so
-// each component runs its own capped depth-first search with an epoch
-// array to avoid reallocation.
+// from it (itself included), saturating at cap. Component IDs are in
+// reverse topological order, so walking them in ascending order visits
+// every callee before its callers. A component is sealed when each of
+// its callees has exactly one caller and is itself sealed; its reach is
+// then its own size plus its callees' reaches, exactly. Every other
+// component runs its own capped depth-first search (an epoch array
+// avoids reallocation) that adds a sealed component's reach when it pops
+// one and never descends into it.
 func (c *condensation) reachable(cap uint64) ([]uint64, []bool) {
 	reach := make([]uint64, c.n)
 	sat := make([]bool, c.n)
+	sealed := make([]bool, c.n)
+	callers := make([]int32, c.n)
+	for _, w := range c.edges {
+		callers[w]++
+	}
 	epoch := make([]int32, c.n)
 	for i := range epoch {
 		epoch[i] = -1
 	}
 	var stack []int32
 	for v := 0; v < c.n; v++ {
-		var acc uint64
-		stack = append(stack[:0], int32(v))
-		epoch[v] = int32(v)
-		for len(stack) > 0 && acc < cap {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			acc += c.size[u]
-			for _, w := range c.edges[c.edgeStart[u]:c.edgeStart[u+1]] {
-				if epoch[w] != int32(v) {
-					epoch[w] = int32(v)
-					stack = append(stack, w)
+		acc := c.size[v]
+		sealed[v] = true
+		for _, w := range c.edges[c.edgeStart[v]:c.edgeStart[v+1]] {
+			if callers[w] != 1 || !sealed[w] {
+				sealed[v] = false
+				break
+			}
+			acc += reach[w]
+		}
+		if !sealed[v] {
+			acc = 0
+			stack = append(stack[:0], int32(v))
+			epoch[v] = int32(v)
+			for len(stack) > 0 && acc < cap {
+				u := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if sealed[u] {
+					acc += reach[u] // u != v: v is not sealed
+					continue
+				}
+				acc += c.size[u]
+				for _, w := range c.edges[c.edgeStart[u]:c.edgeStart[u+1]] {
+					if epoch[w] != int32(v) {
+						epoch[w] = int32(v)
+						stack = append(stack, w)
+					}
 				}
 			}
 		}

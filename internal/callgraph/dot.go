@@ -55,7 +55,13 @@ func WriteDOT(w io.Writer, g *Graph, p *program.Program, a *Analysis, root isa.F
 	inSet := map[isa.FuncID]bool{}
 	for _, n := range nodes {
 		inSet[n] = true
-		label := fmt.Sprintf("%s\\n%dKB", p.FuncName(n), a.Reach[n]>>10)
+		// A saturated reach is a lower bound that depends on the search
+		// order, so the cap is the figure worth printing.
+		kb := fmt.Sprintf("%dKB", a.Reach[n]>>10)
+		if a.Saturated[n] {
+			kb = fmt.Sprintf("≥%dKB", a.Cap>>10)
+		}
+		label := p.FuncName(n) + `\n` + kb
 		attrs := ""
 		if a.IsEntry(n) {
 			attrs = `, style=filled, fillcolor=lightgrey`

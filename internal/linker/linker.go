@@ -10,7 +10,7 @@ package linker
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hprefetch/internal/binfmt"
 	"hprefetch/internal/callgraph"
@@ -103,7 +103,14 @@ func layout(p *program.Program, base isa.Addr, shuffle bool) {
 	// keeps the hot working set within a compact address range even in
 	// 100MB binaries. Each zone is shuffled internally so related
 	// functions still land on scattered cache blocks and pages.
-	var hot, cold []isa.FuncID
+	nhot := 0
+	for i := range p.Funcs {
+		if p.Funcs[i].Kind != program.KindCold {
+			nhot++
+		}
+	}
+	order := make([]isa.FuncID, len(p.Funcs))
+	hot, cold := order[:0:nhot], order[nhot:nhot]
 	for i := range p.Funcs {
 		if p.Funcs[i].Kind == program.KindCold {
 			cold = append(cold, isa.FuncID(i))
@@ -120,7 +127,6 @@ func layout(p *program.Program, base isa.Addr, shuffle bool) {
 			}
 		}
 	}
-	order := append(hot, cold...)
 	addr := base
 	for _, id := range order {
 		f := p.Func(id)
@@ -130,7 +136,7 @@ func layout(p *program.Program, base isa.Addr, shuffle bool) {
 	}
 	p.TextBase = base
 	p.TextSize = uint64(addr - base)
-	p.BuildAddrIndex()
+	p.SetAddrIndex(order)
 }
 
 // taggedAddrs computes the instruction addresses to tag: the return
@@ -140,10 +146,14 @@ func layout(p *program.Program, base isa.Addr, shuffle bool) {
 // address following the tagged instruction, so each dynamic target still
 // yields its own Bundle).
 func taggedAddrs(p *program.Program, a *callgraph.Analysis) []isa.Addr {
+	entry := make([]bool, len(p.Funcs))
+	for _, e := range a.Entries {
+		entry[e] = true
+	}
 	var addrs []isa.Addr
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
-		if a.IsEntry(isa.FuncID(i)) {
+		if entry[i] {
 			addrs = append(addrs, f.Addr+isa.Addr(f.RetOff()))
 		}
 		for ci := range f.Calls {
@@ -151,19 +161,19 @@ func taggedAddrs(p *program.Program, a *callgraph.Analysis) []isa.Addr {
 			tagged := false
 			if c.Indirect() {
 				for _, t := range p.TargetSets[c.Targets].Funcs {
-					if a.IsEntry(t) {
+					if entry[t] {
 						tagged = true
 						break
 					}
 				}
 			} else {
-				tagged = a.IsEntry(c.Callee)
+				tagged = entry[c.Callee]
 			}
 			if tagged {
 				addrs = append(addrs, f.Addr+isa.Addr(c.Off)+program.CallInstrOff)
 			}
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	return addrs
 }

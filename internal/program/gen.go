@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"slices"
 
 	"hprefetch/internal/isa"
 	"hprefetch/internal/xrand"
@@ -454,9 +455,20 @@ func AssignCallOffsets(seed uint64, size uint32, calls []Call) {
 	}
 }
 
+// poolFuncs returns how many functions the pools add after the hot
+// structure: buildColdTree(n) creates max(n, 1) functions, the library
+// pool LibFuncs and the orphan trees OrphanFuncs in total.
+func (c *Config) poolFuncs() int {
+	return max(c.ColdTrees, 0)*max(c.ColdTreeFuncs, 1) + max(c.LibFuncs, 0) + max(c.OrphanFuncs, 0)
+}
+
 // buildColdAndLibs creates the shared cold subtrees and the library pool.
 func (b *builder) buildColdAndLibs() {
 	cfg := b.cfg
+	// The pools are the bulk of a large program and their size is known
+	// exactly, so the function table grows once here instead of being
+	// copied at every doubling.
+	b.prog.Funcs = slices.Grow(b.prog.Funcs, cfg.poolFuncs())
 	// Cold subtrees: high fan-out trees of never-executed code. Their
 	// internal structure deliberately contains its own divergence
 	// points so that static Bundle identification, exactly like on a

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -287,5 +288,83 @@ func TestFuncNameStability(t *testing.T) {
 		if p.FuncName(id) != p.FuncName(id) || p.FuncName(id) == "" {
 			t.Fatalf("unstable or empty name for %d", i)
 		}
+	}
+}
+
+func TestGenerateGrowsFuncsOnce(t *testing.T) {
+	chain := ChainConfig{Base: DefaultConfig(), Depth: 2, Fanout: 2, ServiceCommonFuncs: 30, ServiceHandlerFuncs: 20}
+	for _, gen := range []struct {
+		cfg Config
+		run func() (*Program, error)
+	}{
+		{DefaultConfig(), func() (*Program, error) { return Generate(DefaultConfig()) }},
+		{testConfig(), func() (*Program, error) { return Generate(testConfig()) }},
+		{chain.Base, func() (*Program, error) { return GenerateChain(chain) }},
+	} {
+		p, err := gen.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The presize counts the pools exactly.
+		pool := 0
+		for i := range p.Funcs {
+			if k := p.Funcs[i].Kind; k == KindCold || k == KindLib {
+				pool++
+			}
+		}
+		if want := gen.cfg.poolFuncs(); pool != want {
+			t.Errorf("%s: %d pool functions, poolFuncs says %d", p.Name, pool, want)
+		}
+		// The table never ends with more spare room than appending one
+		// function at a time would have left it.
+		var grown []Function
+		for range p.Funcs {
+			grown = append(grown, Function{})
+		}
+		if cap(p.Funcs) > cap(grown) {
+			t.Errorf("%s: %d functions in a table of %d, append leaves %d",
+				p.Name, len(p.Funcs), cap(p.Funcs), cap(grown))
+		}
+	}
+}
+
+func TestSetAddrIndexMatchesSortedIndex(t *testing.T) {
+	p, err := Generate(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Lay the functions out in a scrambled order, as the linker does.
+	order := make([]isa.FuncID, p.NumFuncs())
+	for i := range order {
+		order[i] = isa.FuncID((i * 7919) % len(order))
+	}
+	addr := isa.Addr(0x40_0000)
+	for _, id := range order {
+		p.Funcs[id].Addr = addr
+		addr += isa.Addr(p.Funcs[id].Size)
+	}
+	p.TextBase, p.TextSize = 0x40_0000, uint64(addr-0x40_0000)
+	p.BuildAddrIndex()
+	sorted := slices.Clone(p.addrIndex)
+	if !slices.Equal(sorted, order) {
+		t.Fatal("sorted index differs from the layout order")
+	}
+	idOrder := make([]isa.FuncID, p.NumFuncs())
+	for i := range idOrder {
+		idOrder[i] = isa.FuncID(i)
+	}
+	for name, candidate := range map[string][]isa.FuncID{
+		"layout order": slices.Clone(order),
+		"ID order":     idOrder,              // not ascending: falls back to the sort
+		"too short":    order[:len(order)-1], // not every function: falls back
+	} {
+		p.addrIndex = nil
+		p.SetAddrIndex(candidate)
+		if !slices.Equal(p.addrIndex, sorted) {
+			t.Errorf("%s: index differs from the sorted one", name)
+		}
+	}
+	if id, ok := p.FuncAt(p.Funcs[order[5]].Addr + 4); !ok || id != order[5] {
+		t.Errorf("FuncAt = %d, %v; want %d", id, ok, order[5])
 	}
 }

@@ -208,9 +208,29 @@ func (p *Program) FuncName(id isa.FuncID) string {
 // Linked reports whether the program has been laid out by the linker.
 func (p *Program) Linked() bool { return p.TextSize != 0 }
 
+// SetAddrIndex installs order, every function ID in the order the
+// layout placed them, as the address index used by FuncAt. The linker
+// lays functions out in ascending address order, so its order is the
+// index already; any order that is not strictly ascending by address
+// falls back to BuildAddrIndex. The index retains order, so the caller
+// must not modify it afterwards.
+func (p *Program) SetAddrIndex(order []isa.FuncID) {
+	if len(order) != len(p.Funcs) {
+		p.BuildAddrIndex()
+		return
+	}
+	for i := 1; i < len(order); i++ {
+		if p.Funcs[order[i-1]].Addr >= p.Funcs[order[i]].Addr {
+			p.BuildAddrIndex()
+			return
+		}
+	}
+	p.addrIndex = order
+}
+
 // BuildAddrIndex (re)builds the address-sorted function index used by
-// FuncAt. The linker calls it after assigning the layout; image decoding
-// calls it for linked images.
+// FuncAt by sorting every function ID by address. Image decoding calls
+// it for linked images.
 func (p *Program) BuildAddrIndex() {
 	p.addrIndex = make([]isa.FuncID, len(p.Funcs))
 	for i := range p.addrIndex {

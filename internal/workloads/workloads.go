@@ -8,9 +8,8 @@
 // shapes following each system's request flow, and request mixes
 // following each benchmark driver.
 //
-// Linked programs are expensive to build for the large presets (the
-// static analysis walks call graphs with up to hundreds of thousands of
-// functions), so Build memoises per name.
+// Build generates, links and loads a workload once per name and
+// memoises it, so every experiment and job shares one linked program.
 package workloads
 
 import (
@@ -330,19 +329,61 @@ func (b *Built) EngineOver(ld *loader.Loaded) Engine {
 	return trace.New(ld, b.Workload.TraceSeed)
 }
 
+// flight is one build of one workload name. Callers that ask for the
+// name while it builds wait on done and share its outcome.
+type flight struct {
+	done  chan struct{}
+	built *Built
+	err   error
+}
+
 var (
 	cacheMu sync.Mutex
-	cache   = map[string]*Built{}
+	cache   = map[string]*flight{}
 )
 
-// Build generates, links and loads a workload, memoising the result: the
-// large presets take seconds to analyse and every experiment reuses them.
+// Build generates, links and loads a workload, memoising the result so
+// every experiment reuses it. Builds of different names run
+// concurrently; concurrent calls for one name share a single build. A
+// failed build is not memoised: the callers waiting on it get its error
+// and the next call builds again.
 func Build(name string) (*Built, error) {
 	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if b, ok := cache[name]; ok {
-		return b, nil
+	f, ok := cache[name]
+	if !ok {
+		f = &flight{done: make(chan struct{})}
+		cache[name] = f
 	}
+	cacheMu.Unlock()
+	if !ok {
+		f.run(name)
+	}
+	<-f.done
+	return f.built, f.err
+}
+
+// run builds name into f and releases its waiters. A failed or
+// panicking build leaves the cache, so its waiters see an error and the
+// next Build starts afresh; a panic still reaches the caller.
+func (f *flight) run(name string) {
+	defer func() {
+		if f.built == nil {
+			if f.err == nil {
+				f.err = fmt.Errorf("workloads %s: build panicked", name)
+			}
+			cacheMu.Lock()
+			if cache[name] == f {
+				delete(cache, name)
+			}
+			cacheMu.Unlock()
+		}
+		close(f.done)
+	}()
+	f.built, f.err = build(name)
+}
+
+// build generates, links and loads one workload.
+func build(name string) (*Built, error) {
 	w, err := Get(name)
 	if err != nil {
 		return nil, err
@@ -359,17 +400,15 @@ func Build(name string) (*Built, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workloads %s: %w", name, err)
 	}
-	b := &Built{Workload: w, Linked: l, Loaded: loader.LoadLinked(p, l.Image)}
-	cache[name] = b
-	return b, nil
+	return &Built{Workload: w, Linked: l, Loaded: loader.LoadLinked(p, l.Image)}, nil
 }
 
 // DropCache releases all memoised workloads (tests and memory-sensitive
-// tools).
+// tools). Builds in flight finish for their own callers only.
 func DropCache() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	cache = map[string]*Built{}
+	cache = map[string]*flight{}
 }
 
 // SortedNames returns Names() sorted alphabetically, for stable table

@@ -1,9 +1,14 @@
 package workloads
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hprefetch/internal/isa"
+	"hprefetch/internal/program"
 )
 
 func TestAllPresetsResolve(t *testing.T) {
@@ -123,4 +128,143 @@ func TestDropCache(t *testing.T) {
 		t.Error("rebuild differs")
 	}
 	_ = isa.Addr(0)
+}
+
+// testNames numbers the workloads the Build tests register, so a test
+// repeated in one process never collides with its earlier run.
+var testNames atomic.Int64
+
+// registerTestWorkload registers a small workload built by gen under a
+// fresh name and removes it again when the test ends.
+func registerTestWorkload(t *testing.T, gen func() (*program.Program, error)) string {
+	t.Helper()
+	name := fmt.Sprintf("test-build-%d", testNames.Add(1))
+	if err := Register(Workload{Name: name, Config: smallConfig(name), Generator: gen}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		regMu.Lock()
+		delete(registry, name)
+		regMu.Unlock()
+		cacheMu.Lock()
+		delete(cache, name)
+		cacheMu.Unlock()
+	})
+	return name
+}
+
+// smallConfig is a quick-to-build program preset.
+func smallConfig(name string) program.Config {
+	cfg := program.DefaultConfig()
+	cfg.Name = name
+	cfg.OrphanFuncs = 100
+	return cfg
+}
+
+func TestBuildOtherNamesWhileOneBlocks(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var name string
+	name = registerTestWorkload(t, func() (*program.Program, error) {
+		close(started)
+		<-release
+		return program.Generate(smallConfig(name))
+	})
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := Build(name)
+		blocked <- err
+	}()
+	<-started
+	gin := make(chan error, 1)
+	go func() {
+		_, err := Build("gin")
+		gin <- err
+	}()
+	select {
+	case err := <-gin:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Build(gin) waited behind another workload's build")
+	}
+	close(release)
+	if err := <-blocked; err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBuildConcurrentCallsShareOneBuild(t *testing.T) {
+	var calls atomic.Int32
+	gate := make(chan struct{})
+	var name string
+	name = registerTestWorkload(t, func() (*program.Program, error) {
+		calls.Add(1)
+		<-gate
+		return program.Generate(smallConfig(name))
+	})
+	const n = 8
+	var ready, wg sync.WaitGroup
+	builds := make([]*Built, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		ready.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ready.Done()
+			builds[i], errs[i] = Build(name)
+		}()
+	}
+	// Hold the first build until every caller is on its way in.
+	ready.Wait()
+	close(gate)
+	wg.Wait()
+	for i := range builds {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if builds[i] != builds[0] {
+			t.Errorf("caller %d got a different build", i)
+		}
+	}
+	if c := calls.Load(); c != 1 {
+		t.Errorf("%d concurrent Builds ran the generator %d times, want 1", n, c)
+	}
+}
+
+func TestBuildFailureIsNotMemoised(t *testing.T) {
+	var calls atomic.Int32
+	var name string
+	name = registerTestWorkload(t, func() (*program.Program, error) {
+		switch calls.Add(1) {
+		case 1:
+			return nil, fmt.Errorf("transient")
+		case 2:
+			panic("generator panicked")
+		}
+		return program.Generate(smallConfig(name))
+	})
+	if _, err := Build(name); err == nil {
+		t.Fatal("failed build reported success")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("generator panic did not reach the caller")
+			}
+		}()
+		Build(name)
+	}()
+	a, err := Build(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Build(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b || calls.Load() != 3 {
+		t.Errorf("generator ran %d times, want 3 (two failures, then one memoised build)", calls.Load())
+	}
 }
