@@ -116,7 +116,9 @@ func TestReachableMatchesReferenceOnSharedTrees(t *testing.T) {
 		largest := slices.Max(exact)
 		rng := xrand.New(seed ^ 0x5EA1)
 		threshold := uint64(rng.Range(1, int(largest>>10)+1)) << 10
-		caps := []uint64{largest + 1, 2 * largest}
+		// The threshold can round up past the largest reach; a cap never
+		// goes below the threshold (Analyze rejects that).
+		caps := []uint64{max(largest+1, threshold), max(2*largest, threshold)}
 		if largest > threshold {
 			caps = append(caps, threshold, threshold+uint64(rng.IntN(int(largest-threshold))))
 		}

@@ -41,10 +41,27 @@ func fuzzSeedBody(tb testing.TB) []byte {
 	return encodeFrameBody(start, events, attrs)
 }
 
+// decodeAoS decodes a frame body through the column decoder and
+// reassembles its events and attributions for the encoder.
+func decodeAoS(body []byte) (frameStart, frameStart, []isa.BlockEvent, []Attrs, error) {
+	var c columns
+	start, end, err := decodeFrame(body, &c)
+	if err != nil {
+		return start, end, nil, nil, err
+	}
+	attrs := make([]Attrs, len(c.events))
+	for i := range attrs {
+		attrs[i] = c.attrs(i)
+	}
+	return start, end, c.events, attrs, nil
+}
+
 // FuzzTraceDecode throws arbitrary bytes at the frame decoder. The
-// invariants: no panic, and — because the encoding is canonical (minimal
-// varints, no zero deltas under change flags, footer cross-checks) —
-// any accepted body re-encodes to exactly itself.
+// invariants: no panic; because the encoding is canonical (minimal
+// varints, no zero deltas under change flags, footer cross-checks), any
+// accepted body re-encodes to exactly itself; and decoding onto columns
+// that already hold a frame appends exactly the same events — or, on
+// failure, leaves the columns as they were.
 func FuzzTraceDecode(f *testing.F) {
 	seed := fuzzSeedBody(f)
 	f.Add(seed)
@@ -55,9 +72,24 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		start, events, attrs, err := decodeFrameBody(data)
+		var held, c columns
+		decodeFrame(seed, &held) //nolint:errcheck // the seed round-trips (TestFuzzSeedRoundTrips)
+		decodeFrame(seed, &c)    //nolint:errcheck
+		_, _, appendErr := decodeFrame(data, &c)
+		start, end, events, attrs, err := decodeAoS(data)
+		if (err == nil) != (appendErr == nil) {
+			t.Fatalf("decode onto empty columns: %v, onto a held frame: %v", err, appendErr)
+		}
 		if err != nil {
+			if len(c.events) != len(held.events) || len(c.stage) != len(held.stage) {
+				t.Fatalf("failed frame left %d events behind", len(c.events)-len(held.events))
+			}
 			return
+		}
+		for i := range events {
+			if c.events[len(held.events)+i] != events[i] || c.attrs(len(held.events)+i) != attrs[i] {
+				t.Fatalf("event %d differs when appended to a held frame", i)
+			}
 		}
 		out := encodeFrameBody(start, events, attrs)
 		if !bytes.Equal(out, data) {
@@ -65,6 +97,8 @@ func FuzzTraceDecode(f *testing.F) {
 		}
 		// Decoded events must satisfy the stream invariants the writer
 		// enforces, so a decoded frame is always re-recordable.
+		instr := start.Instr
+		last := start.A
 		for i := range events {
 			ev := &events[i]
 			if ev.NumInstr == 0 || ev.NumInstr > isa.InstrPerBlock {
@@ -76,6 +110,11 @@ func FuzzTraceDecode(f *testing.F) {
 			if ev.Branch != isa.BrNone && ev.BrPC != ev.EndAddr()-isa.InstrSize {
 				t.Fatalf("event %d: branch PC invariant violated", i)
 			}
+			instr += uint64(ev.NumInstr)
+			last = attrs[i]
+		}
+		if end != (frameStart{Instr: instr, A: last}) {
+			t.Fatalf("end state %+v, want instruction %d and the last attribution %+v", end, instr, last)
 		}
 	})
 }
@@ -84,7 +123,7 @@ func FuzzTraceDecode(f *testing.F) {
 // only proves it for inputs the fuzzer happens to accept).
 func TestFuzzSeedRoundTrips(t *testing.T) {
 	body := fuzzSeedBody(t)
-	start, events, attrs, err := decodeFrameBody(body)
+	start, _, events, attrs, err := decodeAoS(body)
 	if err != nil {
 		t.Fatal(err)
 	}

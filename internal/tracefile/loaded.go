@@ -18,19 +18,18 @@ type Loaded struct {
 	startInstr uint64
 	startAttrs Attrs
 	endInstr   uint64 // Instructions after the last event
-	// The decoded stream in struct-of-arrays form: the events and, one
-	// column per Attrs field, the attribution sampled after each. The
-	// simulator's window reads events, requests, reqID and done in
-	// place; type and depth fit 32 bits (maxTypeValue, maxDepth).
-	events   []isa.BlockEvent
-	requests []uint64
-	reqID    []uint64
-	done     []bool
-	typ      []int32
-	depth    []int32
-	stage    []int16
-	term     error // terminal condition: ErrExhausted, or wraps ErrTruncated
+	// The decoded stream, one column per field: 67 bytes an event, so
+	// about 92 MB for a gin trace of hpsim's default 12M-instruction
+	// window.
+	columns
+	term error // terminal condition: ErrExhausted, or wraps ErrTruncated
 }
+
+// reserveAhead bounds the room Load reserves for events a trace
+// promises but has not yet decoded: reserveAhead default frames before
+// any frame has decoded, and reserveAhead times the decoded events
+// after that.
+const reserveAhead = 8
 
 // Load decodes an entire trace into memory. A torn tail is not an
 // error here either: the intact prefix loads and every cursor reports
@@ -38,58 +37,56 @@ type Loaded struct {
 // streaming Reader's contract. Corruption is different: a trace whose
 // decode ends in ErrCorrupt fails Load outright — a damaged trace must
 // never yield a replayable prefix.
+//
+// Load reads the trace once: each frame is checked, inflated into one
+// reused body buffer and decoded straight into the columns before the
+// next frame is read. When a frame of a sealed trace does not fit, Load
+// reserves room for the rest of the trace as the index counts it, so an
+// honest trace of up to reserveAhead default frames is allocated once,
+// exactly, and a longer one in a few steps; the columns of a torn
+// trace, which has no index, double as they fill. The reservation is
+// capped by reserveAhead, and a frame header's count is taken a
+// decodeChunk at a time (decodeFrame), so a crafted index or frame
+// cannot make Load reserve more than reserveAhead×max(decodeChunk,
+// decoded) events beyond those its frames really decode to.
 func Load(path string) (*Loaded, error) {
-	r, err := Open(path)
-	if err != nil {
+	var t traceFile
+	if err := t.open(path); err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	l := &Loaded{
-		meta:       r.Meta(),
-		startInstr: r.Instructions(),
-		startAttrs: r.cur,
-	}
-	if n := r.total.Events; r.index != nil {
-		l.events = make([]isa.BlockEvent, 0, n)
-		l.requests = make([]uint64, 0, n)
-		l.reqID = make([]uint64, 0, n)
-		l.done = make([]bool, 0, n)
-		l.typ = make([]int32, 0, n)
-		l.depth = make([]int32, 0, n)
-		l.stage = make([]int16, 0, n)
-	}
+	defer t.Close()
+	l := &Loaded{meta: t.meta}
+	var body []byte
+	var end frameStart
 	for {
-		ev := r.Next()
-		if ev.NumInstr == 0 {
+		var h frameHeader
+		var err error
+		body, h, err = t.nextFrame(body)
+		if errors.Is(err, ErrCorrupt) {
+			return nil, fmt.Errorf("tracefile: %s: %w", path, err)
+		}
+		if err != nil {
+			l.term = err
 			break
 		}
-		a := &r.cur
-		l.events = append(l.events, ev)
-		l.requests = append(l.requests, a.Requests)
-		l.reqID = append(l.reqID, a.Request)
-		l.done = append(l.done, a.Done)
-		l.typ = append(l.typ, int32(a.Type))
-		l.depth = append(l.depth, int32(a.Depth))
-		l.stage = append(l.stage, a.Stage)
+		switch {
+		case t.next == 1: // the first frame
+			l.startInstr, l.startAttrs = h.start.Instr, h.start.A
+		case h.start != end:
+			return nil, fmt.Errorf("tracefile: %s: %w", path, corruptf("frame discontinuity at instruction %d", end.Instr))
+		}
+		if n := len(l.events); t.index != nil && cap(l.events)-n < h.count {
+			l.reserve(min(int(t.total.Events)-n, reserveAhead*max(decodeChunk, n)))
+		}
+		if _, end, err = decodeFrame(body, &l.columns); err != nil {
+			return nil, fmt.Errorf("tracefile: %s: %w: %v", path, ErrCorrupt, err)
+		}
 	}
-	if errors.Is(r.Err(), ErrCorrupt) {
-		return nil, fmt.Errorf("tracefile: %s: %w", path, r.Err())
+	if err := t.checkTotals(end); err != nil {
+		return nil, fmt.Errorf("tracefile: %s: %w", path, err)
 	}
-	l.term = r.Err()
-	l.endInstr = r.Instructions()
+	l.endInstr = end.Instr
 	return l, nil
-}
-
-// attrs reassembles the attribution sampled after event i.
-func (l *Loaded) attrs(i int) Attrs {
-	return Attrs{
-		Requests: l.requests[i],
-		Type:     int(l.typ[i]),
-		Stage:    l.stage[i],
-		Depth:    int(l.depth[i]),
-		Request:  l.reqID[i],
-		Done:     l.done[i],
-	}
 }
 
 // Meta returns the trace's identity header.

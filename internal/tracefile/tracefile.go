@@ -191,6 +191,12 @@ func (r *breader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
+	// One byte is the common case, and always minimal.
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+		v := r.buf[r.off]
+		r.off++
+		return uint64(v)
+	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
 		r.fail("bad varint at offset %d", r.off)

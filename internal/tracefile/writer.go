@@ -274,7 +274,11 @@ func (w *Writer) encodeIndex() []byte {
 	return bw.buf
 }
 
-// decodeIndex parses an index payload (including the leading type byte).
+// decodeIndex parses an index payload (including the leading type byte)
+// and checks its shape: frame offsets strictly increasing, every frame
+// count between 1 and maxFrameEvents, and the event total equal to the
+// sum of the frame counts. The reader checks each entry against its
+// frame as it decodes it.
 func decodeIndex(payload []byte) ([]frameEntry, Summary, error) {
 	r := &breader{buf: payload}
 	if t := r.u8(); r.err == nil && t != recTypeIndex {
@@ -289,12 +293,20 @@ func decodeIndex(payload []byte) ([]frameEntry, Summary, error) {
 	}
 	entries := make([]frameEntry, 0, n)
 	var off int64
-	var instr, req uint64
+	var instr, req, events uint64
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		off += int64(r.uvarint())
+		d := r.uvarint()
 		ev := r.uvarint()
 		instr += r.uvarint()
 		req += r.uvarint()
+		if r.err == nil && (d == 0 || d > maxRecordBytes+8) {
+			r.fail("index entry %d: offset delta %d out of range", i, d)
+		}
+		if r.err == nil && (ev == 0 || ev > maxFrameEvents) {
+			r.fail("index entry %d: frame event count %d out of range", i, ev)
+		}
+		off += int64(d)
+		events += ev
 		entries = append(entries, frameEntry{Off: off, Events: ev, StartInstr: instr, StartRequests: req})
 	}
 	var sum Summary
@@ -302,6 +314,9 @@ func decodeIndex(payload []byte) ([]frameEntry, Summary, error) {
 	sum.Events = r.uvarint()
 	sum.Instructions = r.uvarint()
 	sum.Requests = r.uvarint()
+	if r.err == nil && sum.Events != events {
+		r.fail("index total of %d events disagrees with its frames' %d", sum.Events, events)
+	}
 	if err := r.done(); err != nil {
 		return nil, Summary{}, err
 	}
