@@ -88,4 +88,3 @@ func TestReplaySkipsOutOfTextRegions(t *testing.T) {
 		t.Error("out-of-text regions were not counted as rejects")
 	}
 }
-

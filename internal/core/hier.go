@@ -123,6 +123,14 @@ type BundleStat struct {
 	cur  map[isa.Block]struct{}
 }
 
+// matTables, segTables and regionTables recycle the tables of released
+// prefetchers.
+var (
+	matTables    prefetch.Tables[matEntry]
+	segTables    prefetch.Tables[segment]
+	regionTables prefetch.Tables[prefetch.Region]
+)
+
 // Hier is the Hierarchical Prefetcher.
 type Hier struct {
 	cfg Config
@@ -133,6 +141,12 @@ type Hier struct {
 
 	segs  []segment
 	alloc int
+	// regionChunks back the segments' region lists: a segment takes
+	// RegionsPerSegment slots of regionFree, the untaken rest of the
+	// newest chunk, when it is first allocated, so a run holds only the
+	// chunks its records reach.
+	regionChunks [][]prefetch.Region
+	regionFree   []prefetch.Region
 
 	// Record state.
 	recActive bool
@@ -168,6 +182,9 @@ type Hier struct {
 	stats      map[uint32]*BundleStat
 	curStat    *BundleStat
 	statStartC uint64
+	// spareFoot is the footprint set closeStat last retired, kept to
+	// be cleared and reused by the next Bundle.
+	spareFoot map[isa.Block]struct{}
 
 	// Degraded-mode text bounds: tagged targets and replayed regions
 	// outside [textBase, textEnd) are treated as corrupted metadata.
@@ -198,9 +215,9 @@ func New(cfg Config, m prefetch.Machine) *Hier {
 	h := &Hier{
 		cfg:      cfg,
 		m:        m,
-		mat:      make([]matEntry, cfg.MATEntries),
+		mat:      matTables.Get(cfg.MATEntries),
 		matSets:  cfg.MATEntries / cfg.MATWays,
-		segs:     make([]segment, nSegs),
+		segs:     segTables.Get(nSegs),
 		cb:       prefetch.NewRegionBuffer(cfg.CompressionEntries),
 		burst:    cfg.BurstPrefetches,
 		freeSegs: 1,
@@ -213,6 +230,20 @@ func New(cfg Config, m prefetch.Machine) *Hier {
 
 // Name identifies the scheme.
 func (h *Hier) Name() string { return "Hierarchical" }
+
+// Release hands the Metadata Address Table and the Metadata Buffer back
+// for the next Hierarchical Prefetcher to reuse. Counters and
+// BundleSummary stay valid after Release.
+func (h *Hier) Release() {
+	if h.segs != nil {
+		matTables.Put(h.mat)
+		segTables.Put(h.segs)
+		for _, c := range h.regionChunks {
+			regionTables.Put(c)
+		}
+		h.mat, h.segs, h.regionChunks, h.regionFree = nil, nil, nil, nil
+	}
+}
 
 // SetAggressiveness retargets the bundle-issue policy (prefetch.Tunable):
 // degree becomes the per-event replay burst budget and lookahead the
@@ -298,6 +329,9 @@ func (h *Hier) segBytes() int {
 // OnRetire drives everything: footprint recording, Bundle boundaries,
 // and the replay pump.
 func (h *Hier) OnRetire(ev *isa.BlockEvent) {
+	if h.segs == nil {
+		panic("core: prefetcher used after Release")
+	}
 	if h.recActive && !h.recFull {
 		if evicted, ok := h.cb.Insert(ev.Block()); ok {
 			h.appendRegion(evicted)
@@ -347,7 +381,12 @@ func (h *Hier) onBundleBoundary(next isa.Addr) {
 			s = &BundleStat{}
 			h.stats[id] = s
 		}
-		s.cur = make(map[isa.Block]struct{}, 256)
+		if s.cur = h.spareFoot; s.cur != nil {
+			clear(s.cur)
+			h.spareFoot = nil
+		} else {
+			s.cur = make(map[isa.Block]struct{}, 256)
+		}
 		h.curStat = s
 		h.statStartC = h.m.Now()
 	}
@@ -449,8 +488,7 @@ func (h *Hier) closeStat() {
 			s.JaccardCount++
 		}
 	}
-	s.prev = s.cur
-	s.cur = nil
+	h.spareFoot, s.prev, s.cur = s.prev, s.cur, nil
 }
 
 // allocSegment takes the next segment from the circular Metadata Buffer,
@@ -473,13 +511,34 @@ func (h *Hier) allocSegment(owner uint32, isHead bool) int32 {
 				h.repActive = false
 			}
 		}
-		*s = segment{regions: s.regions[:0], next: -1, owner: owner, isHead: isHead, valid: true}
+		regions := s.regions[:0]
+		if regions == nil {
+			regions = h.takeRegions()
+		}
+		*s = segment{regions: regions, next: -1, owner: owner, isHead: isHead, valid: true}
 		return idx
 	}
 	// Every segment belongs to the current Bundle (tiny buffers only):
 	// reuse the head's successor arbitrarily.
 	h.recFull = true
 	return h.recHead
+}
+
+// regionChunkSegs is how many segments' region lists one region chunk
+// backs.
+const regionChunkSegs = 64
+
+// takeRegions returns an empty region list with room for one segment's
+// regions, cut from the newest region chunk.
+func (h *Hier) takeRegions() []prefetch.Region {
+	n := h.cfg.RegionsPerSegment
+	if len(h.regionFree) < n {
+		h.regionFree = regionTables.Get(regionChunkSegs * n)
+		h.regionChunks = append(h.regionChunks, h.regionFree)
+	}
+	r := h.regionFree[:0:n]
+	h.regionFree = h.regionFree[n:]
+	return r
 }
 
 // startReplay begins streaming the recorded footprint of a Bundle

@@ -282,7 +282,8 @@ func TestIngestCrashHelper(t *testing.T) {
 	}
 	testHookBetweenPublishes = func() {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL) //nolint:errcheck
-		select {} // unreachable: the kill is synchronous for our own pid
+		// Unreachable: the kill is synchronous for our own pid.
+		select {}
 	}
 	store, err := Open(dir)
 	if err != nil {

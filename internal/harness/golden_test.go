@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"hprefetch/internal/core"
 	"hprefetch/internal/tracefile"
 	"hprefetch/internal/workloads"
 )
@@ -188,11 +189,14 @@ func TestSampledGoldenDigests(t *testing.T) {
 	checkGoldenFile(t, sampledGoldenPath, got)
 }
 
-// TestGoldenDigestsOnRecycledTables: a run takes its machine's tables
-// from the one released before it, so no digest may depend on what ran
-// first. The matrix runs in an order where each run follows another
-// scheme on another workload, with a run of another table shape (the
-// Table 3 64 KB L1-I) halfway, and every digest must equal its golden.
+// TestGoldenDigestsOnRecycledTables: a run takes its machine's and its
+// prefetcher's tables from ones released before it, so no digest may
+// depend on what ran first. The matrix runs in an order where each run
+// follows another scheme on another workload, with runs that hand the
+// pools tables of another length mid-matrix: a Hierarchical Prefetcher
+// with an eighth of the Metadata Buffer at a third, a machine of another
+// table shape (the Table 3 64 KB L1-I) halfway, and governed GHB at two
+// thirds. Every digest must equal its golden.
 func TestGoldenDigestsOnRecycledTables(t *testing.T) {
 	goldens := readGoldens(t)
 	rc := goldenRunConfig()
@@ -200,10 +204,21 @@ func TestGoldenDigestsOnRecycledTables(t *testing.T) {
 	ws, n := len(rc.Workloads), len(rc.Workloads)*len(schemes)
 	seen := map[goldenEntry]bool{}
 	for k := range n {
-		if k == n/2 {
+		switch k {
+		case n / 3:
+			small := rc
+			hc := core.DefaultConfig()
+			hc.MetadataKB /= 8
+			small.HierConfig = &hc
+			goldenRun(t, "gin", SchemeHier, small)
+		case n / 2:
 			big := rc
 			big.Params.L1ISets *= 2
 			goldenRun(t, "gin", SchemeHier, big)
+		case 2 * n / 3:
+			gov := rc
+			gov.Governed = true
+			goldenRun(t, "tidb-tpcc", SchemeGHB, gov)
 		}
 		w, s := rc.Workloads[k%ws], schemes[k%len(schemes)]
 		want := goldenFor(t, goldens, w, s)

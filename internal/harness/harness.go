@@ -500,6 +500,9 @@ func runOne(ctx context.Context, workload string, scheme Scheme, rc RunConfig) (
 	}
 	if pf != nil {
 		m.SetPrefetcher(pf)
+		// Like the machine's, the prefetcher's tables go back to their
+		// pool once the results below have been read.
+		defer pf.Release()
 	}
 	if rc.Sample.Enabled() {
 		if rec != nil {

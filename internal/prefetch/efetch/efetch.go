@@ -64,6 +64,12 @@ type footEntry struct {
 	ok  bool
 }
 
+// sigTables and footTables recycle the tables of released prefetchers.
+var (
+	sigTables  prefetch.Tables[sigEntry]
+	footTables prefetch.Tables[footEntry]
+)
+
 // EFetch is the prefetcher state.
 type EFetch struct {
 	cfg Config
@@ -96,14 +102,24 @@ func New(cfg Config, m prefetch.Machine) *EFetch {
 	return &EFetch{
 		cfg:   cfg,
 		m:     m,
-		table: make([]sigEntry, cfg.TableEntries),
+		table: sigTables.Get(cfg.TableEntries),
 		sets:  cfg.TableEntries / cfg.TableWays,
-		foot:  make([]footEntry, cfg.FootEntries),
+		foot:  footTables.Get(cfg.FootEntries),
 	}
 }
 
 // Name identifies the scheme.
 func (p *EFetch) Name() string { return "EFetch" }
+
+// Release hands the signature and footprint tables back for the next
+// EFetch to reuse.
+func (p *EFetch) Release() {
+	if p.table != nil {
+		sigTables.Put(p.table)
+		footTables.Put(p.foot)
+		p.table, p.foot = nil, nil
+	}
+}
 
 // StorageBits reports the on-chip budget: the signature table (compact
 // tag, compressed callee pointer, successor-signature hash) plus the
@@ -130,6 +146,9 @@ func (p *EFetch) signature() uint64 {
 // OnRetire tracks calls and returns, trains the signature table, records
 // callee footprints, and issues predictions.
 func (p *EFetch) OnRetire(ev *isa.BlockEvent) {
+	if p.table == nil {
+		panic("efetch: prefetcher used after Release")
+	}
 	// Record the touched block into the active footprint recorder.
 	if n := len(p.recs); n > 0 {
 		r := &p.recs[n-1]

@@ -47,6 +47,9 @@ type entry struct {
 	used  bool
 }
 
+// tables recycles the entangled tables of released prefetchers.
+var tables prefetch.Tables[entry]
+
 // EIP is the prefetcher state.
 type EIP struct {
 	cfg  Config
@@ -66,13 +69,21 @@ func New(cfg Config, m prefetch.Machine) *EIP {
 	return &EIP{
 		cfg:  cfg,
 		m:    m,
-		tab:  make([]entry, cfg.TableEntries),
+		tab:  tables.Get(cfg.TableEntries),
 		sets: cfg.TableEntries / cfg.TableWays,
 	}
 }
 
 // Name identifies the scheme.
 func (p *EIP) Name() string { return "EIP" }
+
+// Release hands the entangled table back for the next EIP to reuse.
+func (p *EIP) Release() {
+	if p.tab != nil {
+		tables.Put(p.tab)
+		p.tab = nil
+	}
+}
 
 // StorageBits reports the on-chip budget: tag plus compressed
 // destinations per entry, matching the 40KB balanced configuration.
@@ -83,6 +94,9 @@ func (p *EIP) StorageBits() int {
 // OnRetire replays: whenever a new block is fetched, every destination
 // entangled with it is prefetched.
 func (p *EIP) OnRetire(ev *isa.BlockEvent) {
+	if p.tab == nil {
+		panic("eip: prefetcher used after Release")
+	}
 	b := ev.Block()
 	if p.haveLast && b == p.lastBlock {
 		return

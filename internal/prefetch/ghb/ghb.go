@@ -73,6 +73,12 @@ type itEntry struct {
 	valid bool
 }
 
+// histTables and itTables recycle the tables of released prefetchers.
+var (
+	histTables prefetch.Tables[entry]
+	itTables   prefetch.Tables[itEntry]
+)
+
 // GHB is the prefetcher state.
 type GHB struct {
 	cfg  Config
@@ -100,8 +106,8 @@ func New(cfg Config, m prefetch.Machine) *GHB {
 	g := &GHB{
 		cfg:  cfg,
 		m:    m,
-		hist: make([]entry, cfg.GHBEntries),
-		it:   make([]itEntry, cfg.ITEntries),
+		hist: histTables.Get(cfg.GHBEntries),
+		it:   itTables.Get(cfg.ITEntries),
 	}
 	g.SetAggressiveness(cfg.Degree, cfg.Lookahead)
 	return g
@@ -121,6 +127,16 @@ func (g *GHB) Name() string {
 		return "GHB-TLB"
 	}
 	return "GHB"
+}
+
+// Release hands the history and index tables back for the next GHB to
+// reuse.
+func (g *GHB) Release() {
+	if g.hist != nil {
+		histTables.Put(g.hist)
+		itTables.Put(g.it)
+		g.hist, g.it = nil, nil
+	}
 }
 
 // SetAggressiveness retargets degree and lookahead (prefetch.Tunable).
@@ -145,6 +161,9 @@ func (g *GHB) SetAggressiveness(degree, lookahead int) {
 // is a discontinuity — the I-stream event the GHB records and triggers
 // on. Sequential advances are left to FDIP.
 func (g *GHB) OnRetire(ev *isa.BlockEvent) {
+	if g.hist == nil {
+		panic("ghb: prefetcher used after Release")
+	}
 	b := ev.Addr.Block()
 	prev := g.last
 	g.last = b
@@ -246,8 +265,8 @@ func (g *GHB) issue(b isa.Block) bool {
 // a log2(GHBEntries)-bit prev pointer and a valid bit; each index-table
 // entry holds a 58-bit tag, a pointer and a valid bit.
 func (g *GHB) StorageBits() int {
-	ptr := log2(len(g.hist))
-	return len(g.hist)*(58+ptr+1) + len(g.it)*(58+ptr+1)
+	ptr := log2(g.cfg.GHBEntries)
+	return g.cfg.GHBEntries*(58+ptr+1) + g.cfg.ITEntries*(58+ptr+1)
 }
 
 func log2(n int) int {

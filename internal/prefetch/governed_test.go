@@ -13,6 +13,7 @@ type tunableSpy struct {
 	retires           int
 	resteers          int
 	misses            int
+	released          int
 }
 
 func (s *tunableSpy) Name() string                       { return "spy" }
@@ -21,6 +22,7 @@ func (s *tunableSpy) OnResteer()                         { s.resteers++ }
 func (s *tunableSpy) OnDemandMiss(b isa.Block, l uint64) { s.misses++ }
 func (s *tunableSpy) StorageBits() int                   { return 100 }
 func (s *tunableSpy) SetAggressiveness(d, l int)         { s.degree, s.lookahead = d, l }
+func (s *tunableSpy) Release()                           { s.released++ }
 
 // ctrlScript changes the knobs on a chosen observation ordinal.
 type ctrlScript struct {
@@ -72,6 +74,10 @@ func TestGovernedAppliesKnobs(t *testing.T) {
 	g.OnDemandMiss(7, 100)
 	if spy.retires != 3 || spy.resteers != 1 || spy.misses != 1 {
 		t.Fatalf("events not forwarded: %+v", spy)
+	}
+	g.Release()
+	if spy.released != 1 {
+		t.Fatalf("Release not forwarded: %+v", spy)
 	}
 	if g.Inner() != Tunable(spy) {
 		t.Fatal("Inner() does not expose the wrapped scheme")

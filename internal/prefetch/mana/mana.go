@@ -45,6 +45,21 @@ type region struct {
 	vec  uint8 // RegionBlocks <= 8 in the default configuration
 }
 
+// idxEntry is one way of the trigger index: a region base and the
+// history position of its latest occurrence.
+type idxEntry struct {
+	key   uint64
+	val   int32
+	valid bool
+	age   uint8
+}
+
+// histTables and idxTables recycle the tables of released prefetchers.
+var (
+	histTables prefetch.Tables[region]
+	idxTables  prefetch.Tables[idxEntry]
+)
+
 // Mana is the prefetcher state.
 type Mana struct {
 	cfg Config
@@ -55,11 +70,8 @@ type Mana struct {
 	pos  int
 
 	// Index: region base -> history position, set-associative.
-	idxKeys  []uint64
-	idxVals  []int32
-	idxValid []bool
-	idxAge   []uint8
-	sets     int
+	idx  []idxEntry
+	sets int
 
 	// Recording state: the region being accumulated.
 	cur      region
@@ -79,21 +91,27 @@ func New(cfg Config, m prefetch.Machine) *Mana {
 	if cfg.RegionBlocks <= 0 || cfg.RegionBlocks > 8 {
 		cfg.RegionBlocks = 8
 	}
-	n := cfg.IndexEntries
 	return &Mana{
-		cfg:      cfg,
-		m:        m,
-		hist:     make([]region, cfg.HistoryRegions),
-		idxKeys:  make([]uint64, n),
-		idxVals:  make([]int32, n),
-		idxValid: make([]bool, n),
-		idxAge:   make([]uint8, n),
-		sets:     n / cfg.IndexWays,
+		cfg:  cfg,
+		m:    m,
+		hist: histTables.Get(cfg.HistoryRegions),
+		idx:  idxTables.Get(cfg.IndexEntries),
+		sets: cfg.IndexEntries / cfg.IndexWays,
 	}
 }
 
 // Name identifies the scheme.
 func (p *Mana) Name() string { return "MANA" }
+
+// Release hands the history and index tables back for the next MANA to
+// reuse.
+func (p *Mana) Release() {
+	if p.hist != nil {
+		histTables.Put(p.hist)
+		idxTables.Put(p.idx)
+		p.hist, p.idx = nil, nil
+	}
+}
 
 // StorageBits reports the on-chip budget: the index table (tag+pointer
 // per entry) plus the compressed history storage, matching the ~15KB the
@@ -113,6 +131,9 @@ func (p *Mana) regionBase(b isa.Block) isa.Block {
 // regions, records completed regions into the temporal history, and
 // drives the active replay stream.
 func (p *Mana) OnRetire(ev *isa.BlockEvent) {
+	if p.hist == nil {
+		panic("mana: prefetcher used after Release")
+	}
 	b := ev.Block()
 	if p.curBlockValid && b == p.curBlock {
 		return
@@ -204,10 +225,9 @@ func (p *Mana) idxSet(key uint64) int {
 func (p *Mana) indexLookup(key uint64) (int32, bool) {
 	base := p.idxSet(key) * p.cfg.IndexWays
 	for w := 0; w < p.cfg.IndexWays; w++ {
-		i := base + w
-		if p.idxValid[i] && p.idxKeys[i] == key {
+		if e := &p.idx[base+w]; e.valid && e.key == key {
 			p.touch(base, w)
-			return p.idxVals[i], true
+			return e.val, true
 		}
 	}
 	return 0, false
@@ -217,38 +237,38 @@ func (p *Mana) indexInsert(key uint64, val int32) {
 	base := p.idxSet(key) * p.cfg.IndexWays
 	victim := 0
 	for w := 0; w < p.cfg.IndexWays; w++ {
-		i := base + w
-		if p.idxValid[i] && p.idxKeys[i] == key {
-			p.idxVals[i] = val
+		e := &p.idx[base+w]
+		if e.valid && e.key == key {
+			e.val = val
 			p.touch(base, w)
 			return
 		}
-		if !p.idxValid[i] {
+		if !e.valid {
 			victim = w
 			break
 		}
-		if p.idxAge[i] > p.idxAge[base+victim] {
+		if e.age > p.idx[base+victim].age {
 			victim = w
 		}
 	}
-	i := base + victim
-	if !p.idxValid[i] {
-		p.idxAge[i] = 255
+	e := &p.idx[base+victim]
+	if !e.valid {
+		e.age = 255
 	}
-	p.idxKeys[i] = key
-	p.idxVals[i] = val
-	p.idxValid[i] = true
+	e.key = key
+	e.val = val
+	e.valid = true
 	p.touch(base, victim)
 }
 
 func (p *Mana) touch(base, way int) {
-	old := p.idxAge[base+way]
+	old := p.idx[base+way].age
 	for w := 0; w < p.cfg.IndexWays; w++ {
-		if p.idxAge[base+w] < old {
-			p.idxAge[base+w]++
+		if p.idx[base+w].age < old {
+			p.idx[base+w].age++
 		}
 	}
-	p.idxAge[base+way] = 0
+	p.idx[base+way].age = 0
 }
 
 var _ prefetch.Prefetcher = (*Mana)(nil)

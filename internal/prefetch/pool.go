@@ -1,0 +1,30 @@
+package prefetch
+
+import "sync"
+
+// Tables recycles one kind of prefetcher table. A prefetcher's New takes
+// its tables from Get and its Release hands them back with Put, so the
+// next prefetcher of that kind reuses them instead of allocating and
+// zeroing its own. Tables are handed out zeroed, which is what a fresh
+// make gives, so a prefetcher on recycled tables starts exactly like one
+// on new tables. The zero value is ready to use.
+type Tables[T any] struct{ pool sync.Pool }
+
+// Get returns a zeroed table of n entries: a released one when the pool
+// holds one with room for n, a new one otherwise. A released table too
+// short for n is dropped.
+func (p *Tables[T]) Get(n int) []T {
+	if t, _ := p.pool.Get().(*[]T); t != nil && cap(*t) >= n {
+		s := (*t)[:n]
+		clear(s)
+		return s
+	}
+	return make([]T, n)
+}
+
+// Put hands t back for a later Get. The caller must not use t again.
+func (p *Tables[T]) Put(t []T) {
+	if cap(t) > 0 {
+		p.pool.Put(&t)
+	}
+}

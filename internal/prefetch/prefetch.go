@@ -70,6 +70,11 @@ type Prefetcher interface {
 	// StorageBits returns the on-chip metadata budget in bits, for the
 	// storage-cost comparisons in the paper.
 	StorageBits() int
+	// Release hands the prefetcher's tables back for the next prefetcher
+	// of its kind to reuse. Call it once the run is over and its results
+	// have been read; OnRetire on a released prefetcher panics, and a
+	// second Release does nothing.
+	Release()
 }
 
 // Tunable is a Prefetcher whose aggressiveness can be retargeted at run
@@ -140,6 +145,9 @@ func (g *Governed) OnDemandMiss(b isa.Block, latency uint64) {
 func (g *Governed) StorageBits() int {
 	return g.inner.StorageBits() + g.ctrl.StorageBits()
 }
+
+// Release releases the scheme's tables.
+func (g *Governed) Release() { g.inner.Release() }
 
 // Inner returns the wrapped prefetcher (for tests and diagnostics).
 func (g *Governed) Inner() Tunable { return g.inner }

@@ -1,6 +1,9 @@
 package program
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"hprefetch/internal/isa"
 	"hprefetch/internal/xrand"
 )
@@ -8,10 +11,11 @@ import (
 // The body builder expands a function's static shape (size + call sites)
 // into a concrete intra-function layout: straight-line runs, biased
 // conditional skips, small loops, call regions, and the final return.
-// Expansion is a pure function of the function's seed, so the linker, the
-// loader and the execution engine all agree on every instruction address
-// without the program ever storing full bodies for its hundreds of
-// thousands of functions.
+// Expansion is a pure function of the function's seed, call offsets and
+// size, so the linker, the loader and the execution engine all agree on
+// every instruction address. A program keeps the bodies of the functions
+// that have run (Program.Body), shared by every engine over it; it never
+// expands the rest of its hundreds of thousands of functions.
 
 // ItemKind classifies a body item.
 type ItemKind uint8
@@ -57,7 +61,7 @@ type Item struct {
 
 // AppendBody expands the function into its deterministic item list,
 // appended to items (so a caller can expand into reused storage). The
-// list for a given function value never changes; callers cache it.
+// list for a given function value never changes; Program.Body caches it.
 func AppendBody(items []Item, f *Function) []Item {
 	s := xrand.Mix(f.Seed, 0xB0D135)
 	rng := xrand.New(s)
@@ -121,4 +125,91 @@ func fillGap(rng *xrand.RNG, items []Item, start, end uint32) []Item {
 		start += chunk
 	}
 	return items
+}
+
+// Body returns the expanded body of function id. The first call for a
+// function expands it and publishes it; every later call, from any
+// goroutine, returns the same items, which callers must not modify.
+// The program keeps each body it has expanded for as long as it lives,
+// so every engine over it (every run of a workload, every lane of a
+// request chain, a degraded load of the same program) shares one table.
+// Funcs must not change once Body has been called.
+func (p *Program) Body(id isa.FuncID) []Item {
+	t := p.bodies.Load()
+	if t == nil {
+		t = p.newBodyTable()
+	}
+	if c := t.chunks[id/bodyChunkLen].Load(); c != nil && c.ready[id%bodyChunkLen].Load() {
+		return c.body[id%bodyChunkLen]
+	}
+	return t.publish(p.Func(id), id)
+}
+
+// bodyTable holds the bodies a program has expanded. Readers take a
+// published body with two atomic loads; publishing is serialised by
+// mu, which also guards the slab and the expansion buffer.
+type bodyTable struct {
+	// chunks[id/bodyChunkLen] holds the bodies of function id and its
+	// neighbours, or nil until one of them is published. The functions
+	// a workload runs cluster by ID, so a few chunks hold them all.
+	chunks []atomic.Pointer[bodyChunk]
+
+	mu sync.Mutex
+	// slab holds the published bodies back to back, so publishing
+	// allocates only when it fills up. Slabs double from minBodySlab to
+	// maxBodySlab items.
+	slab   []Item
+	expand []Item
+}
+
+// bodyChunk holds the bodies of bodyChunkLen consecutive functions:
+// body[i] is written once, before ready[i] is set.
+type bodyChunk struct {
+	ready [bodyChunkLen]atomic.Bool
+	body  [bodyChunkLen][]Item
+}
+
+// bodyChunkLen is how many functions one bodyChunk covers; minBodySlab
+// and maxBodySlab bound the items one body slab holds.
+const (
+	bodyChunkLen             = 256
+	minBodySlab, maxBodySlab = 256, 4096
+)
+
+// newBodyTable installs the program's body table. Two first callers
+// racing each build one; the loser drops its own and uses the winner's.
+func (p *Program) newBodyTable() *bodyTable {
+	n := (len(p.Funcs) + bodyChunkLen - 1) / bodyChunkLen
+	t := &bodyTable{chunks: make([]atomic.Pointer[bodyChunk], n)}
+	if p.bodies.CompareAndSwap(nil, t) {
+		return t
+	}
+	return p.bodies.Load()
+}
+
+// publish expands f (function id) into the slab and publishes it,
+// unless another caller published it while this one waited for mu.
+func (t *bodyTable) publish(f *Function, id isa.FuncID) []Item {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := t.chunks[id/bodyChunkLen].Load()
+	if c == nil {
+		c = new(bodyChunk)
+		t.chunks[id/bodyChunkLen].Store(c)
+	}
+	i := id % bodyChunkLen
+	if c.ready[i].Load() {
+		return c.body[i]
+	}
+	t.expand = AppendBody(t.expand[:0], f)
+	n := len(t.expand)
+	if cap(t.slab)-len(t.slab) < n {
+		size := min(max(2*cap(t.slab), minBodySlab), maxBodySlab)
+		t.slab = make([]Item, 0, max(size, n))
+	}
+	start := len(t.slab)
+	t.slab = append(t.slab, t.expand...)
+	c.body[i] = t.slab[start : start+n : start+n]
+	c.ready[i].Store(true)
+	return c.body[i]
 }

@@ -18,6 +18,7 @@ package program
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"hprefetch/internal/isa"
 )
@@ -168,6 +169,10 @@ type Program struct {
 	// addrIndex holds function IDs sorted by linked address; the linker
 	// shuffles layout, so ID order is not address order.
 	addrIndex []isa.FuncID
+
+	// bodies holds the function bodies expanded so far (see Body); nil
+	// until the first call.
+	bodies atomic.Pointer[bodyTable]
 }
 
 // NumFuncs returns the total number of functions.

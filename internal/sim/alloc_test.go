@@ -148,6 +148,7 @@ func (f *flood) OnRetire(ev *isa.BlockEvent) {
 func (f *flood) OnResteer()                     {}
 func (f *flood) OnDemandMiss(isa.Block, uint64) {}
 func (f *flood) StorageBits() int               { return 0 }
+func (f *flood) Release()                       {}
 
 // TestPrefetchQueueFloodAllocatesNothing floods Prefetch past
 // PFQueueEntries on every retired event: the queue is a fixed ring, so

@@ -128,6 +128,7 @@ type nopPF struct{}
 func (nopPF) Name() string                   { return "nop" }
 func (nopPF) OnRetire(*isa.BlockEvent)       {}
 func (nopPF) OnResteer()                     {}
+func (nopPF) Release()                       {}
 func (nopPF) OnDemandMiss(isa.Block, uint64) {}
 func (nopPF) StorageBits() int               { return 0 }
 

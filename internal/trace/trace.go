@@ -37,20 +37,16 @@ type frame struct {
 }
 
 // Engine interprets the program and produces the block-event stream.
+// It reads function bodies from the program's shared table
+// (program.Program.Body), which keeps every body any engine over the
+// program has run, so a fresh engine starts without expanding the ones
+// earlier runs used, and engines on other goroutines may share it.
 type Engine struct {
 	prog *program.Program
 	tags *loader.TagSet
 	rng  *xrand.RNG
 
-	bodies  map[isa.FuncID][]program.Item
 	typeCum []float64
-
-	// slab holds the cached bodies back to back and expand is the
-	// scratch each body is expanded into first, so caching a body
-	// allocates only when a slab fills up. Slabs double from
-	// minBodySlab to maxBodySlab items, so short runs stay small.
-	slab   []program.Item
-	expand []program.Item
 
 	stack []frame
 
@@ -79,7 +75,6 @@ func New(ld *loader.Loaded, seed uint64) *Engine {
 		prog:    ld.Prog,
 		tags:    ld.Tags,
 		rng:     xrand.New(xrand.Mix(ld.Prog.Seed, seed, 0xE4EC)),
-		bodies:  make(map[isa.FuncID][]program.Item),
 		typeCum: xrand.Cumulative(ld.Prog.TypeWeights),
 	}
 	e.startRequest()
@@ -145,28 +140,6 @@ func (e *Engine) CurrentRequest() uint64 { return e.curReq }
 // final event of its request (the jump back to the request loop).
 func (e *Engine) RequestDone() bool { return e.curDone }
 
-// body returns the (cached) expanded body of a function.
-func (e *Engine) body(id isa.FuncID) []program.Item {
-	if b, ok := e.bodies[id]; ok {
-		return b
-	}
-	e.expand = program.AppendBody(e.expand[:0], e.prog.Func(id))
-	n := len(e.expand)
-	if cap(e.slab)-len(e.slab) < n {
-		size := min(max(2*cap(e.slab), minBodySlab), maxBodySlab)
-		e.slab = make([]program.Item, 0, max(size, n))
-	}
-	start := len(e.slab)
-	e.slab = append(e.slab, e.expand...)
-	b := e.slab[start : start+n : start+n]
-	e.bodies[id] = b
-	return b
-}
-
-// minBodySlab and maxBodySlab bound the items one slab of the body
-// cache holds.
-const minBodySlab, maxBodySlab = 256, 4096
-
 // startRequest (re)enters the request loop root with a fresh request type.
 func (e *Engine) startRequest() {
 	e.curType = e.rng.WeightedChoice(e.typeCum)
@@ -177,7 +150,7 @@ func (e *Engine) startRequest() {
 	e.stack = append(e.stack, frame{
 		fn:    root,
 		base:  f.Addr,
-		items: e.body(root),
+		items: e.prog.Body(root),
 		stage: program.NoStage,
 	})
 	e.runStart = f.Addr
@@ -332,7 +305,7 @@ func (e *Engine) invoke(fr *frame, c *program.Call, callPC, retTo isa.Addr) {
 	e.stack = append(e.stack, frame{
 		fn:    callee,
 		base:  cf.Addr,
-		items: e.body(callee),
+		items: e.prog.Body(callee),
 		retTo: retTo,
 		stage: stage,
 	})
