@@ -12,9 +12,11 @@
 //	hptrace corpus ingest -dir corpus gin.hpt
 //	hptrace corrupt -spec trace-bitrot::7 gin.hpt
 //
-// verify replays the trace against a fresh execution engine and checks
-// every event and attribution sample for equality; it exits nonzero on
-// any divergence or a truncated file, so CI can gate on it. corpus
+// verify decodes the whole trace into memory (67 bytes an event, about
+// 8 bytes an instruction), replays it against a fresh execution engine
+// and checks every event and attribution sample for equality; it exits
+// nonzero on any divergence or a damaged or truncated file, so CI can
+// gate on it. corpus
 // administers the content-addressed trace store (see corpus.go), and
 // corrupt injects deterministic storage faults for resilience testing.
 package main
@@ -139,31 +141,42 @@ func runInfo(args []string) {
 	}
 }
 
-// runVerify replays a trace against a fresh engine built from the
-// trace's own header and compares every event and attribution sample.
+// runVerify prints verify's verdict on one trace file.
 func runVerify(args []string) {
 	fs := flag.NewFlagSet("hptrace verify", flag.ExitOnError)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("usage: hptrace verify <trace-file>"))
+		fatal(fmt.Errorf("usage: hptrace verify <trace-file> (decodes the whole trace into memory, 67 B an event)"))
 	}
 	path := fs.Arg(0)
-	r, err := tracefile.Open(path)
+	events, instructions, err := verify(path)
 	if err != nil {
 		fatal(err)
 	}
-	defer r.Close()
-	meta := r.Meta()
+	fmt.Printf("verified %s: %d events, %d instructions match the live engine\n", path, events, instructions)
+}
+
+// verify decodes the trace at path and replays it against a fresh
+// engine built from the trace's own header, comparing every event and
+// attribution sample. It returns how many events and instructions
+// matched; a truncated trace fails with an error wrapping
+// tracefile.ErrTruncated, a damaged one with one wrapping
+// tracefile.ErrCorrupt.
+func verify(path string) (events, instructions uint64, err error) {
+	loaded, err := tracefile.Load(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	meta := loaded.Meta()
 	built, err := workloads.Build(meta.Workload)
 	if err != nil {
-		fatal(fmt.Errorf("trace header names unknown workload %q: %w", meta.Workload, err))
+		return 0, 0, fmt.Errorf("trace header names unknown workload %q: %w", meta.Workload, err)
 	}
 	if built.Workload.TraceSeed != meta.Seed {
-		fatal(fmt.Errorf("trace seed %d does not match workload %s's preset seed %d",
-			meta.Seed, meta.Workload, built.Workload.TraceSeed))
+		return 0, 0, fmt.Errorf("trace seed %d does not match workload %s's preset seed %d",
+			meta.Seed, meta.Workload, built.Workload.TraceSeed)
 	}
-	eng := built.NewEngine()
-	var events uint64
+	r, eng := loaded.Replay(), built.NewEngine()
 	for {
 		got := r.Next()
 		if got.NumInstr == 0 {
@@ -171,26 +184,26 @@ func runVerify(args []string) {
 		}
 		want := eng.Next()
 		if got != want {
-			fatal(fmt.Errorf("event %d diverges: trace %+v, live %+v", events, got, want))
+			return events, r.Instructions(), fmt.Errorf("event %d diverges: trace %+v, live %+v", events, got, want)
 		}
 		if r.Requests() != eng.Requests() || r.CurrentType() != eng.CurrentType() ||
 			r.Stage() != eng.Stage() || r.Depth() != eng.Depth() {
-			fatal(fmt.Errorf("attribution after event %d diverges: trace (req %d type %d stage %d depth %d), live (req %d type %d stage %d depth %d)",
+			return events, r.Instructions(), fmt.Errorf("attribution after event %d diverges: trace (req %d type %d stage %d depth %d), live (req %d type %d stage %d depth %d)",
 				events, r.Requests(), r.CurrentType(), r.Stage(), r.Depth(),
-				eng.Requests(), eng.CurrentType(), eng.Stage(), eng.Depth()))
+				eng.Requests(), eng.CurrentType(), eng.Stage(), eng.Depth())
 		}
 		if r.CurrentRequest() != eng.CurrentRequest() || r.RequestDone() != eng.RequestDone() {
-			fatal(fmt.Errorf("request mark after event %d diverges: trace (req id %d done %v), live (req id %d done %v)",
-				events, r.CurrentRequest(), r.RequestDone(), eng.CurrentRequest(), eng.RequestDone()))
+			return events, r.Instructions(), fmt.Errorf("request mark after event %d diverges: trace (req id %d done %v), live (req id %d done %v)",
+				events, r.CurrentRequest(), r.RequestDone(), eng.CurrentRequest(), eng.RequestDone())
 		}
 		events++
 	}
 	if err := r.Err(); errors.Is(err, tracefile.ErrTruncated) {
-		fatal(fmt.Errorf("trace is truncated after %d events (%d instructions): %v", events, r.Instructions(), err))
+		return events, r.Instructions(), fmt.Errorf("trace is truncated after %d events (%d instructions): %w", events, r.Instructions(), err)
 	} else if !errors.Is(err, tracefile.ErrExhausted) {
-		fatal(fmt.Errorf("after %d events: %v", events, err))
+		return events, r.Instructions(), fmt.Errorf("after %d events: %w", events, err)
 	}
-	fmt.Printf("verified %s: %d events, %d instructions match the live engine\n", path, events, r.Instructions())
+	return events, r.Instructions(), nil
 }
 
 func fatal(err error) {

@@ -157,6 +157,7 @@ type Hier struct {
 	recSegs   int
 	recStart  uint64 // InstrSeq at Bundle start
 	cb        *prefetch.RegionBuffer
+	flushed   []prefetch.Region // finishRecord's Compression Buffer flush, reused
 
 	// Replay state.
 	repActive  bool
@@ -219,6 +220,7 @@ func New(cfg Config, m prefetch.Machine) *Hier {
 		matSets:  cfg.MATEntries / cfg.MATWays,
 		segs:     segTables.Get(nSegs),
 		cb:       prefetch.NewRegionBuffer(cfg.CompressionEntries),
+		flushed:  make([]prefetch.Region, 0, cfg.CompressionEntries),
 		burst:    cfg.BurstPrefetches,
 		freeSegs: 1,
 	}
@@ -407,7 +409,7 @@ func (h *Hier) startRecord(id uint32, head int32) {
 	s.numInsts = 0
 	s.owner = id
 	s.isHead = true
-	h.cb.Flush() // discard residue from the previous Bundle
+	h.cb.Clear() // discard residue from the previous Bundle
 }
 
 // startRecordFresh begins recording into a newly allocated head segment.
@@ -452,7 +454,8 @@ func (h *Hier) appendRegion(r prefetch.Region) {
 // the current segment, and writes the tail back.
 func (h *Hier) finishRecord() {
 	if h.recActive {
-		for _, r := range h.cb.Flush() {
+		h.flushed = h.cb.Flush(h.flushed[:0])
+		for _, r := range h.flushed {
 			h.appendRegion(r)
 			if h.recFull {
 				break

@@ -387,3 +387,26 @@ func TestBurstBudgetThrottlesReplay(t *testing.T) {
 		t.Fatalf("default burst total (%d) not above burst-1 total (%d)", defTotal, oneTotal)
 	}
 }
+
+// TestBundleBoundaryAllocatesNothing: once its tables are warm, the
+// prefetcher allocates nothing across Bundle boundaries — the
+// Compression Buffer's residue is cleared, or flushed into storage the
+// prefetcher reuses, rather than copied into a fresh slice.
+func TestBundleBoundaryAllocatesNothing(t *testing.T) {
+	m := prefetchtest.NewMockMachine()
+	p := New(DefaultConfig(), m)
+	a, b := seqBlocks(1000, 300), seqBlocks(50_000, 40)
+	round := func() {
+		m.Issued = m.Issued[:0]
+		runBundle(p, m, 0xAAAA00, a)
+		runBundle(p, m, 0xBBBB00, b)
+	}
+	round()
+	round()
+	if p.Counters.MATHits == 0 {
+		t.Fatal("no Bundle replayed")
+	}
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Fatalf("%v allocations per two Bundle boundaries, want 0", n)
+	}
+}

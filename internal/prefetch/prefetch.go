@@ -241,20 +241,24 @@ func (rb *RegionBuffer) Insert(b isa.Block) (evicted Region, ok bool) {
 	return evicted, ok
 }
 
-// Flush evicts every valid region in FIFO order, oldest first.
-func (rb *RegionBuffer) Flush() []Region {
-	out := make([]Region, 0, rb.size)
+// Flush evicts every valid region in FIFO order, oldest first,
+// appending them to dst.
+func (rb *RegionBuffer) Flush(dst []Region) []Region {
 	n := len(rb.regions)
 	for i := 0; i < n; i++ {
-		slot := (rb.head + i) % n
-		if rb.valid[slot] {
-			out = append(out, rb.regions[slot])
-			rb.valid[slot] = false
+		if slot := (rb.head + i) % n; rb.valid[slot] {
+			dst = append(dst, rb.regions[slot])
 		}
 	}
+	rb.Clear()
+	return dst
+}
+
+// Clear drops every buffered region.
+func (rb *RegionBuffer) Clear() {
+	clear(rb.valid)
 	rb.size = 0
 	rb.head = 0
-	return out
 }
 
 // Len returns the number of valid regions buffered.

@@ -36,7 +36,7 @@ func TestRegionBufferCoalesces(t *testing.T) {
 	if rb.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", rb.Len())
 	}
-	regions := rb.Flush()
+	regions := rb.Flush(nil)
 	if len(regions) != 1 || regions[0].Count() != 32 || regions[0].Base != 0 {
 		t.Fatalf("flushed %v", regions)
 	}
@@ -80,7 +80,7 @@ func TestRegionBufferProperty(t *testing.T) {
 				record(ev)
 			}
 		}
-		for _, r := range rb.Flush() {
+		for _, r := range rb.Flush(nil) {
 			record(r)
 		}
 		for b := range blocks {

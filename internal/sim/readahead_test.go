@@ -98,18 +98,17 @@ func TestReadAheadTruncatedStream(t *testing.T) {
 	path, prefix := tornTrace(t)
 	for _, chunk := range []int{7, sim.DefaultReadAheadChunk} {
 		restore := sim.SetReadAhead(true, chunk)
-		r, err := tracefile.Open(path)
+		loaded, err := tracefile.Load(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra := sim.NewReadAhead(r, math.MaxUint64)
+		ra := sim.NewReadAhead(loaded.Replay(), math.MaxUint64)
 		m, err := sim.New(sim.DefaultParams(), ra, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		err = m.Run(1_000_000)
 		ra.Close()
-		r.Close()
 		restore()
 		if !errors.Is(err, tracefile.ErrTruncated) || !strings.HasPrefix(err.Error(), prefix) {
 			t.Errorf("chunk %d: Run error %v, want %q... wrapping ErrTruncated", chunk, err, prefix)

@@ -4,9 +4,8 @@ import "hprefetch/internal/isa"
 
 // EventSource feeds the machine its retired block-event stream one
 // window at a time. The live implementations are trace.Engine and the
-// microservice interleaver; tracefile.Reader streams a recorded trace,
-// tracefile.MemReader replays a decoded one, and tracefile.Recorder
-// tees a live stream to disk. The machine cannot tell them apart, which
+// microservice interleaver; tracefile.MemReader replays a decoded
+// trace, and tracefile.Recorder tees a live stream to disk. The machine cannot tell them apart, which
 // is exactly the record/replay digest-equality guarantee.
 //
 // The machine calls Fill only once its cursors have looked at every

@@ -220,35 +220,44 @@ func tornTrace(t *testing.T) (path, prefix string) {
 		t.Fatal(err)
 	}
 
-	// The intact prefix, drained event by event.
-	r, err := tracefile.Open(path)
+	// The intact prefix, taken whole.
+	loaded, err := tracefile.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r.Next().NumInstr != 0 {
-	}
-	r.Close()
+	r := loaded.Replay()
+	r.Batch()
 	return path, fmt.Sprintf("sim: event stream ended after %d instructions: ", r.Instructions())
 }
 
-// TestWindowChunkTruncatedStream: a torn trace read through the
-// streaming Reader fails at both chunk sizes with the same error, which
-// names the instructions of the intact prefix and wraps ErrTruncated.
+// errSource is an event source that can say why its stream ended.
+type errSource interface {
+	sim.EventSource
+	Err() error
+}
+
+// fillOnly hides a decoded trace's Batch, so the machine fills its own
+// window from it as it does from a live engine.
+type fillOnly struct{ errSource }
+
+// TestWindowChunkTruncatedStream: a torn trace filled into the
+// machine's own window fails at both chunk sizes with the same error,
+// which names the instructions of the intact prefix and wraps
+// ErrTruncated.
 func TestWindowChunkTruncatedStream(t *testing.T) {
 	path, prefix := tornTrace(t)
 	var msgs [2]string
 	for i, chunk := range chunks {
 		restore := sim.SetWindowChunk(chunk)
-		r, err := tracefile.Open(path)
+		loaded, err := tracefile.Load(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := sim.New(sim.DefaultParams(), r, nil)
+		m, err := sim.New(sim.DefaultParams(), fillOnly{loaded.Replay()}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		err = m.Run(1_000_000)
-		r.Close()
 		restore()
 		if !errors.Is(err, tracefile.ErrTruncated) || !strings.HasPrefix(err.Error(), prefix) {
 			t.Fatalf("chunk %d: Run error %v, want %q... wrapping ErrTruncated", chunk, err, prefix)

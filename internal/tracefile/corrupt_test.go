@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,30 +40,25 @@ func writeVariant(t *testing.T, dir, name string, data []byte) string {
 	return p
 }
 
-// drain streams a reader to its end and returns the delivered event
-// count and terminal error.
-func drain(t *testing.T, path string) (int, error) {
+// requireCorrupt reads a damaged sealed trace both ways that decode
+// every frame, Load and VerifyDeep: each must fail with ErrCorrupt,
+// never ErrTruncated (which the prefix-replay path tolerates), and Load
+// must hand out no trace.
+func requireCorrupt(t *testing.T, path, what string) {
 	t.Helper()
-	r, err := Open(path)
-	if err != nil {
-		return 0, err
+	if l, err := Load(path); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) || l != nil {
+		t.Fatalf("%s: Load = %v, %v; want ErrCorrupt and no trace", what, l, err)
 	}
-	defer r.Close()
-	n := 0
-	for {
-		if ev := r.Next(); ev.NumInstr == 0 {
-			break
-		}
-		n++
+	if _, err := VerifyDeep(path); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) {
+		t.Fatalf("%s: VerifyDeep: %v, want ErrCorrupt", what, err)
 	}
-	return n, r.Err()
 }
 
 // TestInteriorFlipIsCorrupt is the regression test for the
 // ErrCorrupt/ErrTruncated split: a single flipped byte in an interior
-// frame must abort replay with ErrCorrupt — never ErrTruncated, which
-// the prefix-replay path tolerates, and never a silently shortened
-// stream.
+// frame must fail with ErrCorrupt — never ErrTruncated, and never a
+// silently shortened stream — while a genuinely torn tail keeps its
+// truncation semantics.
 func TestInteriorFlipIsCorrupt(t *testing.T) {
 	_, data, lo, sum := layoutFor(t, "gin")
 	dir := t.TempDir()
@@ -70,35 +66,26 @@ func TestInteriorFlipIsCorrupt(t *testing.T) {
 	mid := lo.Frames[len(lo.Frames)/2]
 	flipped := append([]byte(nil), data...)
 	flipped[mid.Off+4+mid.Len/2] ^= 0x10 // interior payload byte
-	p := writeVariant(t, dir, "flip.hpt", flipped)
+	requireCorrupt(t, writeVariant(t, dir, "flip.hpt", flipped), "interior flip")
 
-	n, err := drain(t, p)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("interior flip: terminal error %v, want ErrCorrupt", err)
-	}
-	if errors.Is(err, ErrTruncated) {
-		t.Fatalf("interior flip still satisfies errors.Is(_, ErrTruncated): %v", err)
-	}
-	if uint64(n) >= sum.Events {
-		t.Fatalf("corrupt trace delivered the full stream (%d events)", n)
-	}
-
-	// Load must fail-stop: no prefix is handed out for a corrupt trace.
-	if _, err := Load(p); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Load of a corrupt trace: err=%v, want ErrCorrupt", err)
-	}
-
-	// A genuinely torn tail keeps its truncation semantics (and Load
-	// still serves the intact prefix).
+	// A torn tail: Load serves the intact prefix and its cursors end in
+	// ErrTruncated, Stat measures that prefix, VerifyDeep refuses it.
 	torn := data[:lo.Frames[len(lo.Frames)-1].Off+7]
 	tp := writeVariant(t, dir, "torn.hpt", torn)
-	if _, err := drain(t, tp); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("torn tail: terminal error %v, want ErrTruncated", err)
-	}
-	if l, err := Load(tp); err != nil {
+	l, err := Load(tp)
+	if err != nil {
 		t.Fatalf("Load of a torn trace: %v", err)
-	} else if l.Complete() {
-		t.Fatal("torn trace loaded as complete")
+	}
+	m := l.Replay()
+	if m.Batch(); l.Complete() || uint64(l.Events()) >= sum.Events || !errors.Is(m.Err(), ErrTruncated) {
+		t.Fatalf("torn tail: loaded %d/%d events (complete %v), cursor ends with %v; want a prefix and ErrTruncated",
+			l.Events(), sum.Events, l.Complete(), m.Err())
+	}
+	if info, err := Stat(tp); err != nil || !info.Truncated || info.Events != uint64(l.Events()) {
+		t.Fatalf("Stat of a torn trace: %+v, %v; want truncated after %d events", info, err, l.Events())
+	}
+	if _, err := VerifyDeep(tp); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("VerifyDeep of a torn trace: %v, want ErrTruncated", err)
 	}
 }
 
@@ -111,16 +98,13 @@ func TestLengthFieldFlipIsCorrupt(t *testing.T) {
 	for _, bit := range []byte{0x01, 0x80} {
 		mut := append([]byte(nil), data...)
 		mut[mid.Off+1] ^= bit
-		p := writeVariant(t, t.TempDir(), "len.hpt", mut)
-		if _, err := drain(t, p); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("length-field flip (bit %#x): terminal error %v, want ErrCorrupt", bit, err)
-		}
+		requireCorrupt(t, writeVariant(t, t.TempDir(), "len.hpt", mut), fmt.Sprintf("length-field flip (bit %#x)", bit))
 	}
 }
 
 // TestSwappedFramesAreCorrupt swaps two adjacent frame records. Every
-// record stays checksum-clean, so only the frame-continuity check can
-// catch it — and must, as corruption.
+// record stays checksum-clean, so only the index and frame-continuity
+// checks can catch it — and must, as corruption.
 func TestSwappedFramesAreCorrupt(t *testing.T) {
 	_, data, lo, _ := layoutFor(t, "gin")
 	a, b := lo.Frames[1], lo.Frames[2]
@@ -128,10 +112,7 @@ func TestSwappedFramesAreCorrupt(t *testing.T) {
 	mut = append(mut, data[b.Off:b.Off+b.Len]...)
 	mut = append(mut, data[a.Off:a.Off+a.Len]...)
 	mut = append(mut, data[b.Off+b.Len:]...)
-	p := writeVariant(t, t.TempDir(), "swap.hpt", mut)
-	if _, err := drain(t, p); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("swapped frames: terminal error %v, want ErrCorrupt", err)
-	}
+	requireCorrupt(t, writeVariant(t, t.TempDir(), "swap.hpt", mut), "swapped frames")
 }
 
 // TestVerifyDeep checks the deep verifier: clean traces pass with

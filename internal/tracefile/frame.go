@@ -176,7 +176,7 @@ func encodeFrameBody(start frameStart, events []isa.BlockEvent, attrs []Attrs) [
 // each. The simulator's window reads events, requests, reqID and done
 // in place; type and depth fit 32 bits (maxTypeValue, maxDepth).
 // decodeFrame writes a frame straight into them: a Loaded trace holds
-// the whole stream, a streaming Reader one frame at a time.
+// the whole stream, Stat and VerifyDeep one frame at a time.
 type columns struct {
 	events   []isa.BlockEvent
 	requests []uint64

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -163,6 +164,56 @@ func TestLoadAllocatesOnlyColumns(t *testing.T) {
 	}
 }
 
+// TestInspectHoldsOneFrame pins Stat and VerifyDeep to the memory of
+// one frame: reading a trace of at least 16 frames allocates no more
+// than twice what a 2-frame trace of the same frame size does. Decoding
+// the whole stream (as Load does) would allocate eight times as much.
+// VerifyDeep decodes every frame of a sealed trace, Stat every frame of
+// a torn one (a sealed one it answers from the index).
+func TestInspectHoldsOneFrame(t *testing.T) {
+	const frameEvents = 2048
+	type copies struct{ sealed, torn string }
+	record := func(instructions uint64, wantFrames func(int) bool) copies {
+		path, sum := recordSmall(t, "gin", instructions, frameEvents)
+		if !wantFrames(sum.Frames) {
+			t.Fatalf("%d instructions recorded %d frames", instructions, sum.Frames)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, err := LayoutOf(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return copies{path, writeVariant(t, t.TempDir(), "torn.hpt", data[:lo.Index.Off])}
+	}
+	short := record(25_000, func(n int) bool { return n == 2 })
+	long := record(300_000, func(n int) bool { return n >= 16 })
+
+	for name, read := range map[string]func(copies) (Info, error){
+		"VerifyDeep": func(tr copies) (Info, error) { return VerifyDeep(tr.sealed) },
+		"Stat":       func(tr copies) (Info, error) { return Stat(tr.torn) },
+	} {
+		var alloc [2]uint64
+		for i, tr := range []copies{short, long} {
+			var info Info
+			var err error
+			alloc[i] = allocatedBy(func() { info, err = read(tr) })
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if i == 1 && info.Frames < 16 {
+				t.Fatalf("%s read %d frames, want ≥ 16", name, info.Frames)
+			}
+		}
+		if alloc[1] > 2*alloc[0] {
+			t.Fatalf("%s allocated %d bytes for ≥ 16 frames, %d for 2; want at most twice", name, alloc[1], alloc[0])
+		}
+		t.Logf("%s: %d bytes for 2 frames, %d for ≥ 16", name, alloc[0], alloc[1])
+	}
+}
+
 // rewriteIndex replaces a sealed trace image's index record with one
 // listing entries and claiming the given event total, keeping its
 // offset (so the trailer still points at it) and a valid checksum.
@@ -182,9 +233,9 @@ func appendRecord(img, payload []byte) []byte {
 
 // TestHostileIndexIsCorrupt: an index with a valid checksum that claims
 // far more events than its frames hold — in its total alone, or spread
-// consistently over invented frames — is corruption. Load, the
-// streaming Reader, Stat and VerifyDeep all say so without panicking, and Load allocates no
-// more than a few megabytes doing it.
+// consistently over invented frames — is corruption. Load, Stat and
+// VerifyDeep all say so without panicking, and Load allocates no more
+// than a few megabytes doing it.
 func TestHostileIndexIsCorrupt(t *testing.T) {
 	path, data, lo, sum := layoutFor(t, "gin")
 	var tf traceFile
@@ -222,9 +273,6 @@ func TestHostileIndexIsCorrupt(t *testing.T) {
 			if got > 4<<20 {
 				t.Fatalf("Load allocated %d bytes before rejecting the index", got)
 			}
-			if _, err := drain(t, p); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("streaming: %v, want ErrCorrupt", err)
-			}
 			if info, err := Stat(p); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Stat: %+v, %v; want ErrCorrupt", info, err)
 			}
@@ -241,8 +289,11 @@ func TestHostileIndexIsCorrupt(t *testing.T) {
 		invented[i].Events = 1
 	}
 	p := writeVariant(t, dir, "invented.hpt", rewriteIndex(data, lo, invented, uint64(len(invented)), sum.Instructions, sum.Requests))
-	if _, err := drain(t, p); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("streaming over invented frames: %v, want ErrCorrupt", err)
+	if info, err := Stat(p); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Stat over invented frames: %+v, %v; want ErrCorrupt", info, err)
+	}
+	if _, err := VerifyDeep(p); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("VerifyDeep over invented frames: %v, want ErrCorrupt", err)
 	}
 	if _, err := Load(p); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Load over invented frames: %v, want ErrCorrupt", err)
@@ -270,8 +321,12 @@ func TestHostileFrameLengthIsCorrupt(t *testing.T) {
 	if got > 4<<20 {
 		t.Fatalf("Load allocated %d bytes for a forged body length", got)
 	}
-	if _, err := drain(t, p); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("streaming: %v, want ErrCorrupt", err)
+	got = allocatedBy(func() { _, err = Stat(p) })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Stat: %v, want ErrCorrupt", err)
+	}
+	if got > 4<<20 {
+		t.Fatalf("Stat allocated %d bytes for a forged body length", got)
 	}
 }
 
@@ -280,8 +335,8 @@ func TestHostileFrameLengthIsCorrupt(t *testing.T) {
 // about 4 KB on disk for a 4 MB body — are corruption, in a torn trace
 // and in a sealed one whose index vouches for every frame. However many
 // such frames a file holds, Load allocates no more than one inflated
-// body and the room it reserves before a frame has decoded, and the
-// streaming Reader no more than one body and one decode chunk.
+// body and the room it reserves before a frame has decoded, and Stat
+// and VerifyDeep no more than one body and one decode chunk.
 func TestHostileFramesAreCorrupt(t *testing.T) {
 	_, data, lo, _ := layoutFor(t, "gin")
 	hw := &bwriter{}
@@ -312,7 +367,7 @@ func TestHostileFramesAreCorrupt(t *testing.T) {
 	sealed = binary.LittleEndian.AppendUint64(sealed, trailerMagic)
 
 	loadBound := uint64(len(body) + reserveAhead*decodeChunk*columnBytes + 1<<20)
-	streamBound := uint64(len(body) + decodeChunk*columnBytes + 1<<20)
+	frameBound := uint64(len(body) + decodeChunk*columnBytes + 1<<20)
 	dir := t.TempDir()
 	for name, img := range map[string][]byte{"torn": torn, "sealed": sealed} {
 		t.Run(name, func(t *testing.T) {
@@ -326,15 +381,26 @@ func TestHostileFramesAreCorrupt(t *testing.T) {
 				t.Fatalf("Load allocated %d bytes for %d hostile frames in %d file bytes; want ≤ %d", got, frames, len(img), loadBound)
 			}
 			t.Logf("%d hostile frames in %d file bytes: Load allocated %d bytes (%v)", frames, len(img), got, err)
-			got = allocatedBy(func() { _, err = drain(t, p) })
+			// Stat decodes every frame of the torn trace and the first
+			// of the sealed one, VerifyDeep every frame of the sealed one
+			// (it refuses the torn one unread).
+			got = allocatedBy(func() { _, err = Stat(p) })
 			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("streaming: %v, want ErrCorrupt", err)
+				t.Fatalf("Stat: %v, want ErrCorrupt", err)
 			}
-			if got > streamBound {
-				t.Fatalf("streaming allocated %d bytes; want ≤ %d", got, streamBound)
+			if got > frameBound {
+				t.Fatalf("Stat allocated %d bytes; want ≤ %d", got, frameBound)
 			}
-			if info, err := Stat(p); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Stat: %+v, %v; want ErrCorrupt", info, err)
+			want := ErrCorrupt
+			if name == "torn" {
+				want = ErrTruncated
+			}
+			got = allocatedBy(func() { _, err = VerifyDeep(p) })
+			if !errors.Is(err, want) {
+				t.Fatalf("VerifyDeep: %v, want %v", err, want)
+			}
+			if got > frameBound {
+				t.Fatalf("VerifyDeep allocated %d bytes; want ≤ %d", got, frameBound)
 			}
 		})
 	}

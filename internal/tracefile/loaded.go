@@ -1,7 +1,6 @@
 package tracefile
 
 import (
-	"errors"
 	"fmt"
 
 	"hprefetch/internal/isa"
@@ -14,15 +13,12 @@ import (
 // intended shape for replay-backed experiments, where one recorded
 // trace feeds every scheme of a comparison: decode once, replay many.
 type Loaded struct {
-	meta       Meta
-	startInstr uint64
-	startAttrs Attrs
-	endInstr   uint64 // Instructions after the last event
+	meta Meta
+	stream
 	// The decoded stream, one column per field: 67 bytes an event, so
 	// about 92 MB for a gin trace of hpsim's default 12M-instruction
 	// window.
 	columns
-	term error // terminal condition: ErrExhausted, or wraps ErrTruncated
 }
 
 // reserveAhead bounds the room Load reserves for events a trace
@@ -32,11 +28,10 @@ type Loaded struct {
 const reserveAhead = 8
 
 // Load decodes an entire trace into memory. A torn tail is not an
-// error here either: the intact prefix loads and every cursor reports
-// the truncation (via Err) once it runs past the end, mirroring the
-// streaming Reader's contract. Corruption is different: a trace whose
-// decode ends in ErrCorrupt fails Load outright — a damaged trace must
-// never yield a replayable prefix.
+// error: the intact prefix loads and every cursor reports the
+// truncation (via Err) once it runs past the end. Corruption is
+// different: a trace whose decode ends in ErrCorrupt fails Load
+// outright — a damaged trace must never yield a replayable prefix.
 //
 // Load reads the trace once: each frame is checked, inflated into one
 // reused body buffer and decoded straight into the columns before the
@@ -56,36 +51,10 @@ func Load(path string) (*Loaded, error) {
 	}
 	defer t.Close()
 	l := &Loaded{meta: t.meta}
-	var body []byte
-	var end frameStart
-	for {
-		var h frameHeader
-		var err error
-		body, h, err = t.nextFrame(body)
-		if errors.Is(err, ErrCorrupt) {
-			return nil, fmt.Errorf("tracefile: %s: %w", path, err)
-		}
-		if err != nil {
-			l.term = err
-			break
-		}
-		switch {
-		case t.next == 1: // the first frame
-			l.startInstr, l.startAttrs = h.start.Instr, h.start.A
-		case h.start != end:
-			return nil, fmt.Errorf("tracefile: %s: %w", path, corruptf("frame discontinuity at instruction %d", end.Instr))
-		}
-		if n := len(l.events); t.index != nil && cap(l.events)-n < h.count {
-			l.reserve(min(int(t.total.Events)-n, reserveAhead*max(decodeChunk, n)))
-		}
-		if _, end, err = decodeFrame(body, &l.columns); err != nil {
-			return nil, fmt.Errorf("tracefile: %s: %w: %v", path, ErrCorrupt, err)
-		}
-	}
-	if err := t.checkTotals(end); err != nil {
+	var err error
+	if l.stream, err = t.walk(&l.columns, true, 0); err != nil {
 		return nil, fmt.Errorf("tracefile: %s: %w", path, err)
 	}
-	l.endInstr = end.Instr
 	return l, nil
 }
 
@@ -102,12 +71,13 @@ func (l *Loaded) Complete() bool { return l.term == ErrExhausted }
 // Replay returns a fresh cursor positioned at the recorded pre-stream
 // state. Cursors are independent; any number may stream concurrently.
 func (l *Loaded) Replay() *MemReader {
-	return &MemReader{l: l, instr: l.startInstr, cur: l.startAttrs}
+	return &MemReader{l: l, instr: l.start.Instr, cur: l.start.A}
 }
 
 // MemReader streams a Loaded trace as an event source (it satisfies
-// Source and sim.EventSource) with the same sentinel-and-Err contract
-// as the file-backed Reader.
+// Source, sim.EventSource and sim.BatchSource). Next returns a zero
+// event (NumInstr == 0) once the stream has ended, and Err then says
+// why.
 type MemReader struct {
 	l     *Loaded
 	pos   int
@@ -128,8 +98,9 @@ func (m *MemReader) Next() isa.BlockEvent {
 	return ev
 }
 
-// Err mirrors Reader.Err: nil while events remain, then the loaded
-// trace's terminal condition.
+// Err is nil while events remain, then the loaded trace's terminal
+// condition: ErrExhausted after a complete trace, an error wrapping
+// ErrTruncated after the intact prefix of a torn one.
 func (m *MemReader) Err() error {
 	if m.pos < len(m.l.events) {
 		return nil
@@ -172,7 +143,7 @@ func (m *MemReader) Fill(ev []isa.BlockEvent, req []uint64, done []bool, reqs []
 func (m *MemReader) Batch() (ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) {
 	l, p := m.l, m.pos
 	if n := len(l.events); p < n {
-		m.pos, m.instr, m.cur = n, l.endInstr, l.attrs(n-1)
+		m.pos, m.instr, m.cur = n, l.end.Instr, l.attrs(n-1)
 	}
 	return l.events[p:], l.reqID[p:], l.done[p:], l.requests[p:]
 }

@@ -1,7 +1,7 @@
 // Package tracefile persists the execution engine's retired block-event
 // stream (isa.BlockEvent plus the engine's per-event attribution) as a
-// compact, self-describing on-disk trace, and replays it as a streaming
-// event source. Recording decouples the expensive stream generation
+// compact, self-describing on-disk trace, and decodes it back into
+// memory to replay as an event source. Recording decouples the expensive stream generation
 // (interpreting the synthetic program) from the fast timing simulation:
 // record once, replay many — every replayed run is observationally
 // identical to the live run it was captured from, so statistics digests
@@ -23,10 +23,10 @@
 // request counters, so each frame decodes independently and the index
 // makes any instruction position seekable without decoding the prefix.
 //
-// A trace cut mid-write stays readable: the reader replays every event
-// up to the last complete frame and then reports ErrTruncated (the
-// journal's torn-tail semantics). A complete trace ends with the index
-// record, after which the reader reports ErrExhausted.
+// A trace cut mid-write stays readable: Load decodes every event up to
+// the last complete frame, and its cursors then report ErrTruncated
+// (the journal's torn-tail semantics). A complete trace ends with the
+// index record, after which they report ErrExhausted.
 package tracefile
 
 import (
@@ -77,7 +77,7 @@ const TailEvents = 4096
 
 // ErrTruncated reports a trace whose tail is torn or missing — a clean
 // EOF mid-record, the signature of a recording interrupted mid-write.
-// Every event up to the last complete frame was replayed; the readable
+// Every event up to the last complete frame was decoded; the readable
 // prefix is trustworthy, only the tail is gone.
 var ErrTruncated = errors.New("tracefile: truncated trace")
 
@@ -136,7 +136,7 @@ type Attrs struct {
 // Source is the per-event stream a Recorder tees and Record drives:
 // Next returns one event, and the other methods describe the state
 // after it (its attribution and request marks). trace.Engine, the
-// microservice interleaver, Reader and MemReader satisfy it.
+// microservice interleaver and MemReader satisfy it.
 type Source interface {
 	Next() isa.BlockEvent
 	Instructions() uint64

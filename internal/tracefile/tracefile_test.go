@@ -37,68 +37,6 @@ func recordSmall(tb testing.TB, workload string, instructions uint64, frameEvent
 	return path, sum
 }
 
-// TestReplayMatchesEngine replays a recorded trace against a fresh
-// engine: every event and every attribution sample must be identical —
-// the observational-equivalence property everything else rests on.
-func TestReplayMatchesEngine(t *testing.T) {
-	const instructions = 200_000
-	path, sum := recordSmall(t, "gin", instructions, 512)
-	if sum.Frames < 3 {
-		t.Fatalf("expected several frames at FrameEvents=512, got %d", sum.Frames)
-	}
-	if sum.Instructions < instructions {
-		t.Fatalf("recorded %d instructions, want >= %d", sum.Instructions, instructions)
-	}
-
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if !r.Indexed() {
-		t.Fatal("sealed trace should carry an index")
-	}
-	eng, seed := engineFor(t, "gin")
-	if m := r.Meta(); m.Workload != "gin" || m.Seed != seed || m.TargetInstructions != instructions {
-		t.Fatalf("meta mismatch: %+v", m)
-	}
-
-	// Pre-stream state must match the engine's.
-	if r.Instructions() != eng.Instructions() || r.Requests() != eng.Requests() ||
-		r.CurrentType() != eng.CurrentType() || r.Stage() != eng.Stage() || r.Depth() != eng.Depth() {
-		t.Fatal("pre-stream attribution differs from a fresh engine")
-	}
-
-	var n uint64
-	for {
-		got := r.Next()
-		if got.NumInstr == 0 {
-			break
-		}
-		want := eng.Next()
-		if got != want {
-			t.Fatalf("event %d diverges:\n trace %+v\n live  %+v", n, got, want)
-		}
-		if r.Instructions() != eng.Instructions() || r.Requests() != eng.Requests() ||
-			r.CurrentType() != eng.CurrentType() || r.Stage() != eng.Stage() || r.Depth() != eng.Depth() {
-			t.Fatalf("attribution after event %d diverges: trace (i%d r%d t%d s%d d%d), live (i%d r%d t%d s%d d%d)",
-				n, r.Instructions(), r.Requests(), r.CurrentType(), r.Stage(), r.Depth(),
-				eng.Instructions(), eng.Requests(), eng.CurrentType(), eng.Stage(), eng.Depth())
-		}
-		n++
-	}
-	if n != sum.Events {
-		t.Fatalf("replayed %d events, recorded %d", n, sum.Events)
-	}
-	if !errors.Is(r.Err(), ErrExhausted) {
-		t.Fatalf("terminal condition = %v, want ErrExhausted", r.Err())
-	}
-	// Continued Next calls stay at the zero-event sentinel.
-	if ev := r.Next(); ev.NumInstr != 0 {
-		t.Fatal("Next after exhaustion returned a non-zero event")
-	}
-}
-
 // TestStat checks the index fast path against the recording summary.
 func TestStat(t *testing.T) {
 	path, sum := recordSmall(t, "echo", 100_000, 1024)
@@ -116,33 +54,27 @@ func TestStat(t *testing.T) {
 }
 
 // TestTruncatedReplaysPrefix cuts a trace at many byte offsets. Every
-// cut must open (or fail) cleanly, replay a strict prefix of the full
-// stream, and report ErrTruncated unless every event survived the cut.
+// cut must load (or fail to open) cleanly, hold a strict prefix of the
+// full stream, and report ErrTruncated unless every event survived the
+// cut. Stat of each cut must agree with Load: truncated exactly when
+// the loaded stream is incomplete, with the intact prefix's events,
+// instructions and requests.
 func TestTruncatedReplaysPrefix(t *testing.T) {
 	path, sum := recordSmall(t, "gin", 30_000, 256)
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Reference stream from the intact file.
-	var refEvents []isa.BlockEvent
-	var refAttrs []Attrs
-	r, err := Open(path)
+	ref, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		ev := r.Next()
-		if ev.NumInstr == 0 {
-			break
-		}
-		refEvents = append(refEvents, ev)
-		refAttrs = append(refAttrs, Attrs{Requests: r.Requests(), Type: r.CurrentType(), Stage: r.Stage(), Depth: r.Depth()})
+	if uint64(ref.Events()) != sum.Events {
+		t.Fatalf("reference load has %d events, summary says %d", ref.Events(), sum.Events)
 	}
-	r.Close()
-	if uint64(len(refEvents)) != sum.Events {
-		t.Fatalf("reference replay has %d events, summary says %d", len(refEvents), sum.Events)
+	lo, err := LayoutOf(full)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	cuts := []int{0, 5, headerPrefixSize, headerPrefixSize + 3}
@@ -157,85 +89,42 @@ func TestTruncatedReplaysPrefix(t *testing.T) {
 		if err := os.WriteFile(cutPath, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cr, err := Open(cutPath)
+		l, err := Load(cutPath)
+		info, serr := Stat(cutPath)
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("cut %d: Open error %v does not wrap ErrTruncated", cut, err)
+				t.Fatalf("cut %d: Load error %v does not wrap ErrTruncated", cut, err)
+			}
+			if !errors.Is(serr, ErrTruncated) {
+				t.Fatalf("cut %d: Load failed with %v, Stat with %v; want ErrTruncated", cut, err, serr)
 			}
 			continue
 		}
-		var n int
-		for {
-			ev := cr.Next()
-			if ev.NumInstr == 0 {
-				break
-			}
-			if n >= len(refEvents) || ev != refEvents[n] {
-				t.Fatalf("cut %d: event %d is not a prefix of the full stream", cut, n)
-			}
-			a := Attrs{Requests: cr.Requests(), Type: cr.CurrentType(), Stage: cr.Stage(), Depth: cr.Depth()}
-			if a != refAttrs[n] {
-				t.Fatalf("cut %d: attribution %d diverges from the full stream", cut, n)
-			}
-			n++
+		if serr != nil {
+			t.Fatalf("cut %d: Stat: %v", cut, serr)
 		}
-		terr := cr.Err()
-		cr.Close()
-		if n < len(refEvents) {
+		n := l.Events()
+		for i := 0; i < n; i++ {
+			if i >= ref.Events() || l.events[i] != ref.events[i] || l.attrs(i) != ref.attrs(i) {
+				t.Fatalf("cut %d: event %d is not a prefix of the full stream", cut, i)
+			}
+		}
+		m := l.Replay()
+		m.Batch()
+		terr := m.Err()
+		if n < ref.Events() {
 			if !errors.Is(terr, ErrTruncated) {
-				t.Fatalf("cut %d: delivered %d/%d events but Err=%v, want ErrTruncated",
-					cut, n, len(refEvents), terr)
+				t.Fatalf("cut %d: loaded %d/%d events but Err=%v, want ErrTruncated", cut, n, ref.Events(), terr)
 			}
 		} else if !errors.Is(terr, ErrTruncated) && !errors.Is(terr, ErrExhausted) {
-			t.Fatalf("cut %d: full stream delivered but Err=%v", cut, terr)
+			t.Fatalf("cut %d: full stream loaded but Err=%v", cut, terr)
 		}
-	}
-}
-
-// TestSkipToInstruction checks that index-assisted seeking lands on the
-// same state as stepping events one by one.
-func TestSkipToInstruction(t *testing.T) {
-	const instructions = 60_000
-	path, _ := recordSmall(t, "gin", instructions, 256)
-
-	seq, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seq.Close()
-	skip, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer skip.Close()
-	if !skip.Indexed() {
-		t.Fatal("trace should be indexed")
-	}
-
-	const target = instructions / 2
-	for seq.Instructions() < target {
-		if ev := seq.Next(); ev.NumInstr == 0 {
-			t.Fatal("sequential reader ran out before the target")
+		if info.Truncated != !l.Complete() || (int64(cut) < lo.Index.Off+lo.Index.Len && !info.Truncated) {
+			t.Fatalf("cut %d: Stat says truncated %v, the loaded stream is complete %v", cut, info.Truncated, l.Complete())
 		}
-	}
-	if err := skip.SkipToInstruction(target); err != nil {
-		t.Fatal(err)
-	}
-	if seq.Instructions() != skip.Instructions() {
-		t.Fatalf("instruction counters diverge: seq %d, skip %d", seq.Instructions(), skip.Instructions())
-	}
-	// The remainder of both streams must be identical.
-	for i := 0; ; i++ {
-		a, b := seq.Next(), skip.Next()
-		if a != b {
-			t.Fatalf("post-seek event %d diverges: %+v vs %+v", i, a, b)
-		}
-		if a.NumInstr == 0 {
-			break
-		}
-		if seq.Requests() != skip.Requests() || seq.CurrentType() != skip.CurrentType() ||
-			seq.Stage() != skip.Stage() || seq.Depth() != skip.Depth() {
-			t.Fatalf("post-seek attribution %d diverges", i)
+		if info.Events != uint64(n) || info.Instructions != m.Instructions() || info.Requests != m.Requests() {
+			t.Fatalf("cut %d: Stat counts %d events, %d instructions, %d requests; Load's prefix %d, %d, %d",
+				cut, info.Events, info.Instructions, info.Requests, n, m.Instructions(), m.Requests())
 		}
 	}
 }
@@ -331,52 +220,49 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 	if err := os.WriteFile(path, bytes.Repeat([]byte{0xAB}, 64), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("Open accepted a non-trace file")
-	} else if errors.Is(err, ErrTruncated) {
-		t.Fatalf("bad magic misreported as truncation: %v", err)
+	for name, read := range map[string]func(string) error{
+		"Load":       func(p string) error { _, err := Load(p); return err },
+		"Stat":       func(p string) error { _, err := Stat(p); return err },
+		"VerifyDeep": func(p string) error { _, err := VerifyDeep(p); return err },
+	} {
+		if err := read(path); err == nil {
+			t.Fatalf("%s accepted a non-trace file", name)
+		} else if errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: bad magic misreported as truncation: %v", name, err)
+		}
 	}
 }
 
-// TestFillMatchesEngine: the window fills of the streaming Reader and
-// of a MemReader deliver exactly the recorded stream with the engine's
-// request marks and counts, chunk boundaries falling anywhere, and come
-// up short only at the trace's clean end.
+// TestFillMatchesEngine: the window fills of a MemReader deliver
+// exactly the recorded stream with the engine's request marks and
+// counts, chunk boundaries falling anywhere, and come up short only at
+// the trace's clean end.
 func TestFillMatchesEngine(t *testing.T) {
 	path, _ := recordSmall(t, "gin", 100_000, 256)
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
 	l, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range []interface {
-		Fill([]isa.BlockEvent, []uint64, []bool, []uint64) int
-		Err() error
-	}{r, l.Replay()} {
-		eng, _ := engineFor(t, "gin")
-		const chunk = 7
-		ev, req, done, reqs := make([]isa.BlockEvent, chunk), make([]uint64, chunk), make([]bool, chunk), make([]uint64, chunk)
-		events := 0
-		for {
-			n := src.Fill(ev, req, done, reqs)
-			for i := 0; i < n; i++ {
-				want := eng.Next()
-				if ev[i] != want || req[i] != eng.CurrentRequest() || done[i] != eng.RequestDone() || reqs[i] != eng.Requests() {
-					t.Fatalf("%T event %d: filled %+v (req %d done %v reqs %d), engine %+v (req %d done %v reqs %d)",
-						src, events, ev[i], req[i], done[i], reqs[i], want, eng.CurrentRequest(), eng.RequestDone(), eng.Requests())
-				}
-				events++
+	src := l.Replay()
+	eng, _ := engineFor(t, "gin")
+	const chunk = 7
+	ev, req, done, reqs := make([]isa.BlockEvent, chunk), make([]uint64, chunk), make([]bool, chunk), make([]uint64, chunk)
+	events := 0
+	for {
+		n := src.Fill(ev, req, done, reqs)
+		for i := 0; i < n; i++ {
+			want := eng.Next()
+			if ev[i] != want || req[i] != eng.CurrentRequest() || done[i] != eng.RequestDone() || reqs[i] != eng.Requests() {
+				t.Fatalf("event %d: filled %+v (req %d done %v reqs %d), engine %+v (req %d done %v reqs %d)",
+					events, ev[i], req[i], done[i], reqs[i], want, eng.CurrentRequest(), eng.RequestDone(), eng.Requests())
 			}
-			if n < chunk {
-				break
-			}
+			events++
 		}
-		if !errors.Is(src.Err(), ErrExhausted) {
-			t.Fatalf("%T: short fill after %d events with Err %v, want ErrExhausted", src, events, src.Err())
+		if n < chunk {
+			break
 		}
+	}
+	if !errors.Is(src.Err(), ErrExhausted) {
+		t.Fatalf("short fill after %d events with Err %v, want ErrExhausted", events, src.Err())
 	}
 }

@@ -277,8 +277,8 @@ func (w *Writer) encodeIndex() []byte {
 // decodeIndex parses an index payload (including the leading type byte)
 // and checks its shape: frame offsets strictly increasing, every frame
 // count between 1 and maxFrameEvents, and the event total equal to the
-// sum of the frame counts. The reader checks each entry against its
-// frame as it decodes it.
+// sum of the frame counts. The frame walk checks each entry against
+// its frame as it decodes it.
 func decodeIndex(payload []byte) ([]frameEntry, Summary, error) {
 	r := &breader{buf: payload}
 	if t := r.u8(); r.err == nil && t != recTypeIndex {
