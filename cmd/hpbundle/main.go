@@ -31,7 +31,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "hpbundle: -dot requires -workload")
 			os.Exit(2)
 		}
-		b, err := workloads.Build(*workload)
+		l, err := workloads.Link(*workload)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hpbundle:", err)
 			os.Exit(1)
@@ -42,8 +42,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		err = callgraph.WriteDOT(f, b.Linked.Graph, b.Loaded.Prog, b.Linked.Analysis,
-			b.Loaded.Prog.Entry, *depth, *maxNodes)
+		err = callgraph.WriteDOT(f, l.Graph, l.Prog, l.Analysis, l.Prog.Entry, *depth, *maxNodes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hpbundle:", err)
 			os.Exit(1)

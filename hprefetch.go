@@ -272,7 +272,7 @@ func AnalyzeWorkload(name string) (BundleReport, error) {
 		return BundleReport{}, err
 	}
 	total := b.Loaded.Prog.NumFuncs()
-	entries := len(b.Linked.Analysis.Entries)
+	entries := len(b.Loaded.Entries)
 	return BundleReport{
 		Workload:           name,
 		TotalFunctions:     total,

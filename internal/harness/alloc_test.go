@@ -16,12 +16,10 @@ const warmRunCeiling = 24 << 10
 // TestWarmRunAllocatesLittle: a run's machine and prefetcher tables
 // come back from their pools and its function bodies from the program's
 // table, so a warm run allocates little beyond its statistics and event
-// window. A pool may hand a table back only on the processor it was
-// released on, so the test keeps the least of three warm runs.
+// window. The pools do not depend on which processor runs the test or on
+// when collections run, so each of three warm runs must stay under the
+// ceiling.
 func TestWarmRunAllocatesLittle(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops recycled tables at random under -race")
-	}
 	rc := DefaultRunConfig()
 	rc.WarmInstr, rc.MeasureInstr = 20_000, 40_000
 	for _, s := range AllSchemes() {
@@ -36,9 +34,9 @@ func TestWarmRunAllocatesLittle(t *testing.T) {
 			return ms.TotalAlloc - before
 		}
 		run()
-		least := min(run(), run(), run())
-		if least > warmRunCeiling {
-			t.Errorf("gin/%s: a warm 60k-instruction run allocated %d bytes, want at most %d", s, least, warmRunCeiling)
+		most := max(run(), run(), run())
+		if most > warmRunCeiling {
+			t.Errorf("gin/%s: a warm 60k-instruction run allocated %d bytes, want at most %d", s, most, warmRunCeiling)
 		}
 	}
 }

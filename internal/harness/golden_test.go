@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"hprefetch/internal/core"
+	"hprefetch/internal/fault"
 	"hprefetch/internal/tracefile"
 	"hprefetch/internal/workloads"
 )
@@ -29,11 +30,15 @@ type goldenEntry struct {
 	Digest         string `json:"digest"`
 	IPC            string `json:"ipc"`
 	PFLateFraction string `json:"pf_late_fraction"`
+	// Fault and TagDrops are set only for runs under fault injection.
+	Fault    string `json:"fault,omitempty"`
+	TagDrops int    `json:"tag_drops,omitempty"`
 }
 
 const (
 	goldenPath        = "testdata/golden_digests.json"
 	sampledGoldenPath = "testdata/sampled_digests.json"
+	faultGoldenPath   = "testdata/fault_digests.json"
 )
 
 // goldenRunConfig is the tiny, fixed configuration behind the committed
@@ -81,13 +86,17 @@ func goldenRun(t *testing.T, w string, s Scheme, rc RunConfig) goldenEntry {
 	if err != nil {
 		t.Fatalf("%s/%s: %v", w, s, err)
 	}
-	return goldenEntry{
+	e := goldenEntry{
 		Workload:       w,
 		Scheme:         string(s),
 		Digest:         res.Stats.Digest(),
 		IPC:            fmt.Sprintf("%.6f", res.Stats.IPC()),
 		PFLateFraction: fmt.Sprintf("%.6f", res.Stats.PFLateFraction()),
 	}
+	if rc.Fault.Enabled() {
+		e.Fault, e.TagDrops = rc.Fault.String(), res.TagDrops
+	}
+	return e
 }
 
 // readGoldens returns the committed fingerprints of the exact matrix.
@@ -187,6 +196,21 @@ func TestSampledGoldenDigests(t *testing.T) {
 		got = append(got, goldenRun(t, p.w, p.s, rc))
 	}
 	checkGoldenFile(t, sampledGoldenPath, got)
+}
+
+// TestFaultGoldenDigests locks gin/Hierarchical under every run-time
+// fault class to committed fingerprints, with the loader's tag-drop
+// count: the bundle classes pin the degraded loader's segment
+// perturbation, the others the machine-side injection hooks.
+func TestFaultGoldenDigests(t *testing.T) {
+	rc := goldenRunConfig()
+	var got []goldenEntry
+	for _, c := range fault.Classes() {
+		sub := rc
+		sub.Fault = fault.Config{Class: c}
+		got = append(got, goldenRun(t, "gin", SchemeHier, sub))
+	}
+	checkGoldenFile(t, faultGoldenPath, got)
 }
 
 // TestGoldenDigestsOnRecycledTables: a run takes its machine's and its

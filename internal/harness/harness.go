@@ -375,7 +375,7 @@ func runOne(ctx context.Context, workload string, scheme Scheme, rc RunConfig) (
 		if err != nil {
 			return nil, err
 		}
-		ld = loader.LoadLinkedDegraded(built.Loaded.Prog, built.Linked.Image, inj.PerturbBundles)
+		ld = loader.LoadLinkedDegraded(built.Loaded.Prog, built.Loaded.Segment(), inj.PerturbBundles)
 	}
 
 	var src sim.EventSource
@@ -410,7 +410,9 @@ func runOne(ctx context.Context, workload string, scheme Scheme, rc RunConfig) (
 			Seed:               built.Workload.TraceSeed,
 			TargetInstructions: rc.WarmInstr + rc.MeasureInstr,
 		}
-		rec, err = tracefile.RecordTo(rc.RecordPath, built.EngineOver(ld), meta, tracefile.Options{})
+		eng := built.EngineOver(ld)
+		defer eng.Release()
+		rec, err = tracefile.RecordTo(rc.RecordPath, eng, meta, tracefile.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s/%s: %w", workload, scheme, err)
 		}
@@ -425,7 +427,9 @@ func runOne(ctx context.Context, workload string, scheme Scheme, rc RunConfig) (
 		// Interpret the program on a second goroutine while the machine
 		// simulates. The tee above stays direct: a Recorder relies on
 		// each Fill proving the previous one was consumed.
-		ra := sim.NewReadAhead(built.EngineOver(ld), rc.WarmInstr+rc.MeasureInstr)
+		eng := built.EngineOver(ld)
+		defer eng.Release()
+		ra := sim.NewReadAhead(eng, rc.WarmInstr+rc.MeasureInstr)
 		defer ra.Close()
 		src = ra
 	}

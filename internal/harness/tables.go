@@ -97,7 +97,7 @@ func Table4BundleStats(rc RunConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		nStatic := len(built.Linked.Analysis.Entries)
+		nStatic := len(built.Loaded.Entries)
 		total := built.Loaded.Prog.NumFuncs()
 		frac := float64(nStatic) / float64(total)
 		r, err := Run(w, SchemeHier, sub)

@@ -109,20 +109,32 @@ func LoadLinked(prog *program.Program, im *binfmt.Image) *Loaded {
 	}
 }
 
+// Segment returns the .bundles segment this program was loaded from:
+// its threshold, Bundle entries and tagged addresses (in ascending
+// order, as the linker writes them). It shares l's backing arrays, so
+// the caller must not modify them; PerturbFn's contract already forbids
+// that. A degraded load returns the tags it kept.
+func (l *Loaded) Segment() binfmt.BundleSegment {
+	var tags []isa.Addr
+	if l.Tags != nil {
+		tags = l.Tags.addrs
+	}
+	return binfmt.BundleSegment{Threshold: l.Threshold, Entries: l.Entries, TaggedAddrs: tags}
+}
+
 // PerturbFn mutates a copy of the .bundles segment before the loader
 // applies it — the injection point for fault experiments. It must not
 // retain or modify its argument's backing arrays.
 type PerturbFn func(binfmt.BundleSegment) binfmt.BundleSegment
 
 // LoadLinkedDegraded is LoadLinked with a perturbation hook and lenient
-// validation: the segment is first passed through perturb (nil = as
-// is), then tagged addresses that land outside any function — the
-// signature of a stale or corrupted Bundle table — are dropped and
-// counted in TagDrops instead of failing the load. This models what a
-// production loader must do: a binary whose prefetch metadata is bad
-// still has to run, just without the bad hints.
-func LoadLinkedDegraded(prog *program.Program, im *binfmt.Image, perturb PerturbFn) *Loaded {
-	seg := im.Bundles
+// validation: seg is first passed through perturb (nil = as is), then
+// tagged addresses that land outside any function — the signature of a
+// stale or corrupted Bundle table — are dropped and counted in TagDrops
+// instead of failing the load. This models what a production loader
+// must do: a binary whose prefetch metadata is bad still has to run,
+// just without the bad hints.
+func LoadLinkedDegraded(prog *program.Program, seg binfmt.BundleSegment, perturb PerturbFn) *Loaded {
 	if perturb != nil {
 		seg = perturb(seg)
 	}

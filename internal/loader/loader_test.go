@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"reflect"
 	"testing"
 
 	"hprefetch/internal/binfmt"
@@ -102,6 +103,26 @@ func TestLoadLinkedSharesProgram(t *testing.T) {
 	}
 }
 
+// TestSegmentRoundTrips: a program loaded from an image, by either
+// path, gives back that image's .bundles segment.
+func TestSegmentRoundTrips(t *testing.T) {
+	p, im := linkedImage(t)
+	if got := LoadLinked(p, im).Segment(); !reflect.DeepEqual(got, im.Bundles) {
+		t.Errorf("LoadLinked: Segment() = %d entries, %d tags; image has %d, %d",
+			len(got.Entries), len(got.TaggedAddrs), len(im.Bundles.Entries), len(im.Bundles.TaggedAddrs))
+	}
+	ld, err := Load(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ld.Segment(); !reflect.DeepEqual(got, im.Bundles) {
+		t.Errorf("Load: Segment() differs from the image's segment")
+	}
+	if got := LoadLinkedDegraded(p, ld.Segment(), nil).Segment(); !reflect.DeepEqual(got, im.Bundles) {
+		t.Errorf("a clean degraded load of Segment() changed the segment")
+	}
+}
+
 // TestLoadLinkedDegraded asserts the lenient path applies the perturb
 // hook, drops out-of-function tags with a count, and never errors on a
 // corrupted Bundle table.
@@ -109,7 +130,7 @@ func TestLoadLinkedDegraded(t *testing.T) {
 	p, im := linkedImage(t)
 
 	// Nil hook, clean table: identical to LoadLinked.
-	ld := LoadLinkedDegraded(p, im, nil)
+	ld := LoadLinkedDegraded(p, im.Bundles, nil)
 	if ld.TagDrops != 0 || ld.Tags.Len() != len(im.Bundles.TaggedAddrs) {
 		t.Fatalf("clean degraded load dropped %d of %d tags", ld.TagDrops, len(im.Bundles.TaggedAddrs))
 	}
@@ -127,7 +148,7 @@ func TestLoadLinkedDegraded(t *testing.T) {
 		return out
 	}
 	before := len(im.Bundles.TaggedAddrs)
-	ld = LoadLinkedDegraded(p, im, perturb)
+	ld = LoadLinkedDegraded(p, im.Bundles, perturb)
 	want := (before + 1) / 2
 	if ld.TagDrops != want {
 		t.Errorf("TagDrops = %d, want %d", ld.TagDrops, want)

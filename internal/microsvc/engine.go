@@ -210,6 +210,15 @@ func (e *Engine) Requests() uint64 { return e.started }
 // found no free lane yet.
 func (e *Engine) Pending() uint64 { return e.pending }
 
+// Release hands every lane's call stack and event queue to later
+// engines (trace.Engine.Release). The engine must not be used
+// afterwards.
+func (e *Engine) Release() {
+	for _, l := range e.lanes {
+		l.eng.Release()
+	}
+}
+
 // CurrentType, Stage, Depth, CurrentRequest and RequestDone follow the
 // sampling contract: they describe the most recently returned event
 // (its producing lane's state).

@@ -97,9 +97,6 @@ func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 // ones the last one closed, so starting and closing one allocates a
 // small fraction of a chunk set.
 func TestReadAheadRecyclesChunks(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops recycled chunks at random under -race")
-	}
 	built, err := workloads.Build("gin")
 	if err != nil {
 		t.Fatal(err)

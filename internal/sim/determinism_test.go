@@ -7,9 +7,12 @@ package sim_test
 // require the *full* Stats to match bit for bit.
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"hprefetch/internal/prefetch"
 	"hprefetch/internal/sim"
@@ -79,6 +82,32 @@ func TestDigestReflectsEveryCounter(t *testing.T) {
 		if !fieldNamed(canon, name) {
 			t.Errorf("canonical form missing field %s", name)
 		}
+	}
+}
+
+// TestDigestHashesCanonical: for random statistics, Digest is the
+// FNV-1a hash of Canonical in the "fnv1a64:<16 hex>" form, though it
+// hashes the canonical form without building it; and it allocates only
+// its result.
+func TestDigestHashesCanonical(t *testing.T) {
+	viaText := func(s *sim.Stats) string {
+		h := fnv.New64a()
+		h.Write([]byte(s.Canonical())) //nolint:errcheck // hash writes cannot fail
+		return fmt.Sprintf("%s:%016x", sim.DigestPrefix, h.Sum64())
+	}
+	check := func(s sim.Stats) bool { return s.Digest() == viaText(&s) }
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	for _, s := range []*sim.Stats{{}, sim.NewStats()} {
+		if !check(*s) {
+			t.Errorf("Digest %s, hash of Canonical %s", s.Digest(), viaText(s))
+		}
+	}
+	s := sim.NewStats()
+	s.Instructions, s.ReqStallHist[3] = 123_456_789, 42
+	if n := testing.AllocsPerRun(100, func() { _ = s.Digest() }); n > 1 {
+		t.Errorf("Digest allocates %.0f times, want only its result", n)
 	}
 }
 

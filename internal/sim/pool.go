@@ -2,10 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"hprefetch/internal/bpu"
 	"hprefetch/internal/cache"
+	"hprefetch/internal/freelist"
 	"hprefetch/internal/isa"
 )
 
@@ -55,13 +55,13 @@ type tableSet struct {
 
 // tablePool holds the sets of released machines. A set of another
 // shape than the one asked for is dropped, not kept.
-var tablePool sync.Pool
+var tablePool freelist.List[*tableSet]
 
-// getTables returns a set shaped for prm: a released one, reset, when
-// the pool has one of that shape, or a new one.
+// getTables returns a set shaped for prm: the most recently released
+// one, reset, when it has that shape, or a new one.
 func getTables(prm *Params) (*tableSet, error) {
 	shape := shapeOf(prm)
-	if t, _ := tablePool.Get().(*tableSet); t != nil && t.shape == shape {
+	if t, ok := tablePool.Get(); ok && t.shape == shape {
 		t.reset()
 		return t, nil
 	}

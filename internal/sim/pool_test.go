@@ -14,9 +14,6 @@ import (
 // allocates the machine and its statistics only, a few KB instead of
 // the 1.35 MB of tables a machine holds.
 func TestMachineRecyclesTables(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops recycled tables at random under -race")
-	}
 	built, err := workloads.Build("gin")
 	if err != nil {
 		t.Fatal(err)

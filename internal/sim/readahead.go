@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"sync"
-
+	"hprefetch/internal/freelist"
 	"hprefetch/internal/isa"
 )
 
@@ -89,7 +88,7 @@ var readAheadInline bool
 
 // chunkPool recycles chunk sets between runs, so a warm process
 // allocates none.
-var chunkPool sync.Pool
+var chunkPool freelist.List[*raChunks]
 
 // NewReadAhead starts reading src ahead until it has delivered budget
 // instructions. The caller must Close the result.
@@ -107,7 +106,7 @@ func NewReadAhead(src EventSource, budget uint64) *ReadAhead {
 		instrs: src.Instructions(),
 		reqs:   src.Requests(),
 	}
-	r.chunks, _ = chunkPool.Get().(*raChunks)
+	r.chunks, _ = chunkPool.Get()
 	if r.chunks == nil || len(r.chunks[0].w.ev) != readAheadChunk {
 		r.chunks = new(raChunks)
 		for i := range r.chunks {

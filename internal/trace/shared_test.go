@@ -21,10 +21,14 @@ func TestEnginesShareBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	linked, err := workloads.Link("gin")
+	if err != nil {
+		t.Fatal(err)
+	}
 	const engines, events = 8, 100_000
 	own := make([]*loader.Loaded, engines)
 	for i := range own {
-		if own[i], err = loader.Load(built.Linked.Image); err != nil {
+		if own[i], err = loader.Load(linked.Image); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,9 +57,10 @@ func TestEnginesShareBodies(t *testing.T) {
 }
 
 // BenchmarkEngineFreshRun starts a fresh engine over built gin for each
-// iteration, as every simulation does, and runs it for a short and a
-// perfbench live-run window. Unlike BenchmarkEngineNext, which keeps one
-// engine for all of b.N, it sees what starting an engine costs.
+// iteration and releases it after, as every simulation does, and runs
+// it for a short and a perfbench live-run window. Unlike
+// BenchmarkEngineNext, which keeps one engine for all of b.N, it sees
+// what starting an engine costs.
 func BenchmarkEngineFreshRun(b *testing.B) {
 	built, err := workloads.Build("gin")
 	if err != nil {
@@ -74,6 +79,7 @@ func BenchmarkEngineFreshRun(b *testing.B) {
 					e.Next()
 				}
 				instrs += e.Instructions()
+				e.Release()
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&ms)

@@ -9,6 +9,7 @@
 package trace
 
 import (
+	"hprefetch/internal/freelist"
 	"hprefetch/internal/isa"
 	"hprefetch/internal/loader"
 	"hprefetch/internal/program"
@@ -68,6 +69,18 @@ type Engine struct {
 	curDone bool
 }
 
+// buffers carries a released engine's call stack and event queue, at
+// length 0, to the next engine New creates.
+type buffers struct {
+	stack []frame
+	queue []isa.BlockEvent
+}
+
+// bufferPool recycles released engines' buffers. An engine that starts
+// without one grows its own from nil: presizing them costs more than it
+// saves, because most engines (a chain workload's lanes) stay shallow.
+var bufferPool freelist.List[buffers]
+
 // New creates an engine over a loaded program. Seed separates the dynamic
 // request/branch randomness from the program's structural seed.
 func New(ld *loader.Loaded, seed uint64) *Engine {
@@ -77,8 +90,24 @@ func New(ld *loader.Loaded, seed uint64) *Engine {
 		rng:     xrand.New(xrand.Mix(ld.Prog.Seed, seed, 0xE4EC)),
 		typeCum: xrand.Cumulative(ld.Prog.TypeWeights),
 	}
+	if b, ok := bufferPool.Get(); ok {
+		e.stack, e.queue = b.stack, b.queue
+	}
 	e.startRequest()
 	return e
+}
+
+// Release hands the engine's call stack and event queue to a later
+// engine. The engine must not be used afterwards; releasing it again
+// does nothing.
+func (e *Engine) Release() {
+	if e.stack == nil {
+		return
+	}
+	// Stale frames would keep the bodies they point at alive.
+	clear(e.stack[:cap(e.stack)])
+	bufferPool.Put(buffers{stack: e.stack[:0], queue: e.queue[:0]})
+	e.stack, e.queue = nil, nil
 }
 
 // Requests returns how many requests have been started so far.

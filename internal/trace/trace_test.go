@@ -235,3 +235,37 @@ func BenchmarkEngineNext(b *testing.B) {
 	}
 	b.ReportMetric(float64(instr)/float64(b.N), "instr/event")
 }
+
+// TestReleasedBuffersReplayExactly: an engine started on a released
+// engine's call stack and event queue emits exactly the stream of one
+// that grew its own, and the released stack keeps no body alive.
+func TestReleasedBuffersReplayExactly(t *testing.T) {
+	ld := loadTest(t, 53)
+	want := make([]isa.BlockEvent, 200_000)
+	fresh := New(ld, 7)
+	for i := range want {
+		want[i] = fresh.Next()
+	}
+	// Release mid-request, with frames on the stack and events queued.
+	other := New(ld, 9)
+	for range 12_345 {
+		other.Next()
+	}
+	stack := other.stack[:cap(other.stack)]
+	other.Release()
+	other.Release() // a second release does nothing
+	for i := range stack {
+		if stack[i].items != nil {
+			t.Fatalf("released frame %d still points at a function body", i)
+		}
+	}
+	again := New(ld, 7)
+	if &again.stack[:1][0] != &stack[0] {
+		t.Fatal("New did not take the released call stack")
+	}
+	for i, w := range want {
+		if got := again.Next(); got != w {
+			t.Fatalf("event %d on recycled buffers: %+v, on fresh ones %+v", i, got, w)
+		}
+	}
+}

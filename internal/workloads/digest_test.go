@@ -7,8 +7,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"hprefetch/internal/binfmt"
+	"hprefetch/internal/callgraph"
 	_ "hprefetch/internal/microsvc" // registers the chain-* presets
 	"hprefetch/internal/workloads"
 )
@@ -25,11 +28,11 @@ const imageDigestsPath = "testdata/image_digests.json"
 func TestLinkedImageDigests(t *testing.T) {
 	got := map[string]string{}
 	for _, name := range workloads.AllSorted() {
-		b, err := workloads.Build(name)
+		l, err := workloads.Link(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sum := sha256.Sum256(b.Linked.Image.Marshal())
+		sum := sha256.Sum256(l.Image.Marshal())
 		got[name] = hex.EncodeToString(sum[:])
 	}
 	path := filepath.FromSlash(imageDigestsPath)
@@ -59,5 +62,70 @@ func TestLinkedImageDigests(t *testing.T) {
 		if got[name] != sum {
 			t.Errorf("%s: linked image sha256 %s, pinned %s", name, got[name], sum)
 		}
+	}
+}
+
+// TestBuiltSegmentMatchesLinkedImage: the .bundles segment a memoised
+// workload gives back from its loaded program is exactly the one the
+// linker wrote into the image, for every workload, so the fault path
+// that perturbs it sees what it saw when Built kept the image.
+func TestBuiltSegmentMatchesLinkedImage(t *testing.T) {
+	for _, name := range workloads.AllSorted() {
+		l, err := workloads.Link(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b, err := workloads.Build(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := b.Loaded.Segment(); !reflect.DeepEqual(got, l.Image.Bundles) {
+			t.Errorf("%s: Loaded.Segment() has %d entries and %d tags, the linked image %d and %d",
+				name, len(got.Entries), len(got.TaggedAddrs), len(l.Image.Bundles.Entries), len(l.Image.Bundles.TaggedAddrs))
+		}
+	}
+}
+
+// TestBuiltKeepsNoLinkState: no binary image, call graph or Bundle
+// analysis is reachable from the type of a memoised workload, so none
+// of them outlives Build.
+func TestBuiltKeepsNoLinkState(t *testing.T) {
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf((*binfmt.Image)(nil)):       true,
+		reflect.TypeOf((*callgraph.Graph)(nil)):    true,
+		reflect.TypeOf((*callgraph.Analysis)(nil)): true,
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(t reflect.Type, path string) []string
+	walk = func(ty reflect.Type, path string) []string {
+		if banned[ty] {
+			return []string{path + " " + ty.String()}
+		}
+		if seen[ty] {
+			return nil
+		}
+		seen[ty] = true
+		var found []string
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+			found = walk(ty.Elem(), path+"[]")
+		case reflect.Map:
+			found = append(walk(ty.Key(), path+"{key}"), walk(ty.Elem(), path+"{}")...)
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				found = append(found, walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)...)
+			}
+		case reflect.Func:
+			for i := range ty.NumIn() {
+				found = append(found, walk(ty.In(i), path+"(in)")...)
+			}
+			for i := range ty.NumOut() {
+				found = append(found, walk(ty.Out(i), path+"(out)")...)
+			}
+		}
+		return found
+	}
+	for _, f := range walk(reflect.TypeOf(workloads.Built{}), "Built") {
+		t.Errorf("link-time state reachable from a memoised workload: %s", f)
 	}
 }

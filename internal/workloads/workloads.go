@@ -9,7 +9,10 @@
 // following each benchmark driver.
 //
 // Build generates, links and loads a workload once per name and
-// memoises it, so every experiment and job shares one linked program.
+// memoises only the loaded program, so every experiment and job shares
+// one runnable program. The link-time products (the binary image, the
+// call graph and the Bundle analysis) become garbage once Build
+// returns; tools that want them call Link, which rebuilds them.
 package workloads
 
 import (
@@ -28,7 +31,9 @@ import (
 // the per-event tracefile.Source view (Next and the attribution after
 // each event) plus the sim.EventSource window Fill. trace.Engine
 // satisfies it; registered workloads may substitute their own
-// implementation (e.g. the microservice interleaver).
+// implementation (e.g. the microservice interleaver). Release hands the
+// engine's recyclable buffers to later engines once its reader is done
+// with it; the engine must not be used afterwards.
 type Engine interface {
 	Next() isa.BlockEvent
 	Fill(ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) int
@@ -39,6 +44,7 @@ type Engine interface {
 	Depth() int
 	CurrentRequest() uint64
 	RequestDone() bool
+	Release()
 }
 
 // Workload couples a generator preset with its driver parameters.
@@ -306,10 +312,11 @@ func joinNames(names []string) string {
 	return out
 }
 
-// Built is a generated, linked, loadable workload.
+// Built is a generated, linked and loaded workload: what runs read. It
+// keeps no link-time state; Loaded.Segment gives back the .bundles
+// segment, and Link rebuilds the image, call graph and analysis.
 type Built struct {
 	Workload Workload
-	Linked   *linker.Linked
 	Loaded   *loader.Loaded
 }
 
@@ -382,8 +389,23 @@ func (f *flight) run(name string) {
 	f.built, f.err = build(name)
 }
 
-// build generates, links and loads one workload.
+// build links and loads one workload, keeping only the loaded program.
 func build(name string) (*Built, error) {
+	l, err := Link(name)
+	if err != nil {
+		return nil, err
+	}
+	w, err := Get(name)
+	if err != nil {
+		return nil, err
+	}
+	return &Built{Workload: w, Loaded: loader.LoadLinked(l.Prog, l.Image)}, nil
+}
+
+// Link generates and links a workload afresh, with no memoisation: the
+// binary image, call graph and Bundle analysis that Build discards, for
+// tools that inspect them. Its image is the one Build loads.
+func Link(name string) (*linker.Linked, error) {
 	w, err := Get(name)
 	if err != nil {
 		return nil, err
@@ -400,7 +422,7 @@ func build(name string) (*Built, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workloads %s: %w", name, err)
 	}
-	return &Built{Workload: w, Linked: l, Loaded: loader.LoadLinked(p, l.Image)}, nil
+	return l, nil
 }
 
 // DropCache releases all memoised workloads (tests and memory-sensitive

@@ -51,7 +51,7 @@ func TestBuildSmallPresetAndMemoise(t *testing.T) {
 		t.Error("no tagged instructions")
 	}
 	// Entry fraction in a plausible band around the paper's 2.3-6.1%.
-	frac := float64(len(a.Linked.Analysis.Entries)) / float64(a.Loaded.Prog.NumFuncs())
+	frac := float64(len(a.Loaded.Entries)) / float64(a.Loaded.Prog.NumFuncs())
 	if frac < 0.003 || frac > 0.15 {
 		t.Errorf("gin entry fraction %.4f outside plausible band", frac)
 	}
