@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hprefetch"
@@ -54,16 +55,25 @@ func main() {
 	if *workload != "" {
 		names = []string{*workload}
 	}
-	fmt.Printf("%-16s %12s %10s %9s %10s %10s\n",
+	if err := writeTable(os.Stdout, names); err != nil {
+		fmt.Fprintln(os.Stderr, "hpbundle:", err)
+		os.Exit(1)
+	}
+}
+
+// writeTable prints one row per workload: its function count, Bundle
+// entries and tagged instructions, and its text size.
+func writeTable(w io.Writer, names []string) error {
+	fmt.Fprintf(w, "%-16s %12s %10s %9s %10s %10s\n",
 		"workload", "functions", "entries", "entry%", "tagged", "text(MB)")
 	for _, n := range names {
 		r, err := hprefetch.AnalyzeWorkload(n)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hpbundle:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("%-16s %12d %10d %8.2f%% %10d %10.1f\n",
+		fmt.Fprintf(w, "%-16s %12d %10d %8.2f%% %10d %10.1f\n",
 			r.Workload, r.TotalFunctions, r.Entries, r.EntryFraction*100,
 			r.TaggedInstructions, float64(r.TextBytes)/1e6)
 	}
+	return nil
 }

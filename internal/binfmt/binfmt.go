@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"hprefetch/internal/isa"
 	"hprefetch/internal/program"
@@ -39,8 +40,11 @@ type Image struct {
 	// the workload driver section.
 	RequestTypes int
 	TypeWeights  []float64
-	// Funcs is the symbol + call-site table, indexed by FuncID.
+	// Funcs is the symbol table, indexed by FuncID.
 	Funcs []FuncRecord
+	// Calls is the call-site table: each function's NumCalls sites in
+	// turn, in FuncID order.
+	Calls []program.Call
 	// TargetSets holds indirect-call dispatch tables.
 	TargetSets []TargetSetRecord
 	// Stages describes the request pipeline.
@@ -49,23 +53,16 @@ type Image struct {
 	Bundles BundleSegment
 }
 
-// FuncRecord is one symbol-table entry with its call sites.
+// FuncRecord is one symbol-table entry. Its NumCalls call sites follow
+// those of the functions before it in Image.Calls. Seed must be the
+// one Program.FuncSeed derives from the image seed and the FuncID.
 type FuncRecord struct {
-	Addr  isa.Addr
-	Size  uint32
-	Seed  uint64
-	Kind  uint8
-	Stage int16
-	Calls []CallRecord
-}
-
-// CallRecord mirrors program.Call in the image.
-type CallRecord struct {
-	Off     uint32
-	Callee  isa.FuncID
-	Targets uint32
-	Prob    uint16
-	Repeat  uint8
+	Addr     isa.Addr
+	Size     uint32
+	Seed     uint64
+	Kind     uint8
+	Stage    int16
+	NumCalls uint32
 }
 
 // TargetSetRecord mirrors program.TargetSet.
@@ -113,13 +110,10 @@ func FromProgram(p *program.Program) *Image {
 	im.Funcs = make([]FuncRecord, len(p.Funcs))
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
-		fr := FuncRecord{Addr: f.Addr, Size: f.Size, Seed: f.Seed, Kind: uint8(f.Kind), Stage: f.Stage}
-		fr.Calls = make([]CallRecord, len(f.Calls))
-		for j, c := range f.Calls {
-			fr.Calls[j] = CallRecord{Off: c.Off, Callee: c.Callee, Targets: c.Targets, Prob: c.Prob, Repeat: c.Repeat}
-		}
-		im.Funcs[i] = fr
+		im.Funcs[i] = FuncRecord{Addr: f.Addr, Size: f.Size, Seed: p.FuncSeed(isa.FuncID(i)),
+			Kind: uint8(f.Kind), Stage: f.Stage, NumCalls: f.NumCalls}
 	}
+	im.Calls = slices.Clone(p.Calls)
 	im.TargetSets = make([]TargetSetRecord, len(p.TargetSets))
 	for i, ts := range p.TargetSets {
 		im.TargetSets[i] = TargetSetRecord{ByType: ts.ByType, Funcs: append([]isa.FuncID(nil), ts.Funcs...)}
@@ -131,8 +125,11 @@ func FromProgram(p *program.Program) *Image {
 	return im
 }
 
-// Program reconstructs the program structure from the image.
-func (im *Image) Program() *program.Program {
+// Program reconstructs the program structure from the image. It fails
+// when a record's seed is not the one its ID derives, since the program
+// keeps no seeds and would expand a different body, or when the call
+// counts do not add up to the call-site table.
+func (im *Image) Program() (*program.Program, error) {
 	p := &program.Program{
 		Name:         im.Name,
 		Seed:         im.Seed,
@@ -143,15 +140,24 @@ func (im *Image) Program() *program.Program {
 		TypeWeights:  append([]float64(nil), im.TypeWeights...),
 	}
 	p.Funcs = make([]program.Function, len(im.Funcs))
+	next := uint64(0)
 	for i := range im.Funcs {
 		fr := &im.Funcs[i]
-		f := program.Function{Addr: fr.Addr, Size: fr.Size, Seed: fr.Seed, Kind: program.FuncKind(fr.Kind), Stage: fr.Stage}
-		f.Calls = make([]program.Call, len(fr.Calls))
-		for j, c := range fr.Calls {
-			f.Calls[j] = program.Call{Off: c.Off, Callee: c.Callee, Targets: c.Targets, Prob: c.Prob, Repeat: c.Repeat}
+		if want := p.FuncSeed(isa.FuncID(i)); fr.Seed != want {
+			return nil, fmt.Errorf("binfmt: function %d has seed %#x, its ID derives %#x", i, fr.Seed, want)
 		}
-		p.Funcs[i] = f
+		if next+uint64(fr.NumCalls) > uint64(len(im.Calls)) {
+			return nil, fmt.Errorf("binfmt: function %d calls overrun the %d-entry call table", i, len(im.Calls))
+		}
+		p.Funcs[i] = program.Function{Addr: fr.Addr, Size: fr.Size, FirstCall: uint32(next), NumCalls: fr.NumCalls,
+			Kind: program.FuncKind(fr.Kind), Stage: fr.Stage}
+		next += uint64(fr.NumCalls)
 	}
+	if next != uint64(len(im.Calls)) {
+		return nil, fmt.Errorf("binfmt: functions own %d of %d call sites", next, len(im.Calls))
+	}
+	p.Calls = make([]program.Call, len(im.Calls))
+	copy(p.Calls, im.Calls)
 	p.TargetSets = make([]program.TargetSet, len(im.TargetSets))
 	for i, ts := range im.TargetSets {
 		p.TargetSets[i] = program.TargetSet{ByType: ts.ByType, Funcs: append([]isa.FuncID(nil), ts.Funcs...)}
@@ -163,7 +169,7 @@ func (im *Image) Program() *program.Program {
 	if p.Linked() {
 		p.BuildAddrIndex()
 	}
-	return p
+	return p, nil
 }
 
 // writer serialises with little-endian fixed-width fields.
@@ -179,7 +185,9 @@ func (w *writer) str(s string) {
 }
 func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
 
-// Marshal encodes the image.
+// Marshal encodes the image. The records' NumCalls must add up to at
+// most len(im.Calls), as they do in every image FromProgram or
+// Unmarshal returns.
 func (im *Image) Marshal() []byte {
 	w := &writer{buf: make([]byte, 0, 64+len(im.Funcs)*40)}
 	w.u64(Magic)
@@ -195,6 +203,7 @@ func (im *Image) Marshal() []byte {
 		w.f64(v)
 	}
 	w.u32(uint32(len(im.Funcs)))
+	calls := im.Calls
 	for i := range im.Funcs {
 		f := &im.Funcs[i]
 		w.u64(uint64(f.Addr))
@@ -202,14 +211,15 @@ func (im *Image) Marshal() []byte {
 		w.u64(f.Seed)
 		w.u8(f.Kind)
 		w.u16(uint16(f.Stage))
-		w.u32(uint32(len(f.Calls)))
-		for _, c := range f.Calls {
+		w.u32(f.NumCalls)
+		for _, c := range calls[:f.NumCalls] {
 			w.u32(c.Off)
 			w.u32(uint32(c.Callee))
 			w.u32(c.Targets)
 			w.u16(c.Prob)
 			w.u8(c.Repeat)
 		}
+		calls = calls[f.NumCalls:]
 	}
 	w.u32(uint32(len(im.TargetSets)))
 	for _, ts := range im.TargetSets {
@@ -367,9 +377,9 @@ func Unmarshal(data []byte) (*Image, error) {
 		f.Kind = r.u8()
 		f.Stage = int16(r.u16())
 		nc := r.count(15)
-		f.Calls = make([]CallRecord, 0, nc)
+		f.NumCalls = uint32(nc)
 		for j := 0; j < nc; j++ {
-			f.Calls = append(f.Calls, CallRecord{
+			im.Calls = append(im.Calls, program.Call{
 				Off:     r.u32(),
 				Callee:  isa.FuncID(r.u32()),
 				Targets: r.u32(),

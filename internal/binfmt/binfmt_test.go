@@ -1,6 +1,7 @@
 package binfmt
 
 import (
+	"slices"
 	"testing"
 
 	"hprefetch/internal/isa"
@@ -28,24 +29,22 @@ func TestRoundTripUnlinked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := back.Program()
+	q, err := back.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if q.Name != p.Name || q.Seed != p.Seed || q.Entry != p.Entry ||
 		q.RequestTypes != p.RequestTypes || q.NumFuncs() != p.NumFuncs() {
 		t.Fatal("program header fields did not round-trip")
 	}
 	for i := range p.Funcs {
 		a, b := &p.Funcs[i], &q.Funcs[i]
-		if a.Size != b.Size || a.Seed != b.Seed || a.Kind != b.Kind || a.Stage != b.Stage || a.Addr != b.Addr {
+		if *a != *b {
 			t.Fatalf("function %d fields differ after round-trip", i)
 		}
-		if len(a.Calls) != len(b.Calls) {
-			t.Fatalf("function %d call count differs", i)
-		}
-		for j := range a.Calls {
-			if a.Calls[j] != b.Calls[j] {
-				t.Fatalf("function %d call %d differs", i, j)
-			}
-		}
+	}
+	if !slices.Equal(p.Calls, q.Calls) {
+		t.Fatal("call sites differ after round-trip")
 	}
 	if len(q.TargetSets) != len(p.TargetSets) || len(q.Stages) != len(p.Stages) {
 		t.Fatal("target sets or stages lost")
@@ -129,5 +128,31 @@ func TestMarshalDeterministic(t *testing.T) {
 	b := FromProgram(p).Marshal()
 	if string(a) != string(b) {
 		t.Error("Marshal is not deterministic")
+	}
+}
+
+// TestProgramRejectsInconsistentRecords: a program keeps no per-function
+// seed, so Program must refuse an image whose record seed is not the one
+// the function's ID derives (its bodies would expand differently), and
+// one whose call counts do not cover the call-site table exactly.
+func TestProgramRejectsInconsistentRecords(t *testing.T) {
+	p := testProgram(t)
+	if _, err := FromProgram(p).Program(); err != nil {
+		t.Fatalf("consistent image rejected: %v", err)
+	}
+	im := FromProgram(p)
+	im.Funcs[3].Seed++
+	if _, err := im.Program(); err == nil {
+		t.Error("record with a foreign seed accepted")
+	}
+	im = FromProgram(p)
+	im.Calls = im.Calls[:len(im.Calls)-1]
+	if _, err := im.Program(); err == nil {
+		t.Error("call counts overrunning the call table accepted")
+	}
+	im = FromProgram(p)
+	im.Calls = append(im.Calls, program.Call{})
+	if _, err := im.Program(); err == nil {
+		t.Error("call-site table with an unowned entry accepted")
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"hprefetch/internal/isa"
+	"hprefetch/internal/program"
 )
 
 // fuzzSeedImage hand-builds a tiny image exercising every record type —
 // small enough (a few hundred bytes) for the mutator to stay fast.
 func fuzzSeedImage(tb testing.TB) []byte {
 	tb.Helper()
+	seeds := &program.Program{Seed: 7}
 	im := &Image{
 		Name:         "fuzz-seed",
 		Seed:         7,
@@ -20,10 +22,12 @@ func fuzzSeedImage(tb testing.TB) []byte {
 		RequestTypes: 2,
 		TypeWeights:  []float64{0.75, 0.25},
 		Funcs: []FuncRecord{
-			{Addr: 0x400000, Size: 64, Seed: 1, Kind: 1, Stage: 0,
-				Calls: []CallRecord{{Off: 8, Callee: 1, Prob: 0x8000, Repeat: 1}}},
-			{Addr: 0x400040, Size: 32, Seed: 2, Kind: 2, Stage: -1,
-				Calls: []CallRecord{{Off: 4, Callee: 0, Targets: 1, Prob: 0xFFFF}}},
+			{Addr: 0x400000, Size: 64, Seed: seeds.FuncSeed(0), Kind: 1, Stage: 0, NumCalls: 1},
+			{Addr: 0x400040, Size: 32, Seed: seeds.FuncSeed(1), Kind: 2, Stage: -1, NumCalls: 1},
+		},
+		Calls: []program.Call{
+			{Off: 8, Callee: 1, Prob: 0x8000, Repeat: 1},
+			{Off: 4, Callee: 0, Targets: 1, Prob: 0xFFFF},
 		},
 		TargetSets: []TargetSetRecord{{ByType: true, Funcs: []isa.FuncID{0, 1}}},
 		Stages:     []StageRecord{{Name: "parse", Func: 0, Diverges: true, Handlers: []isa.FuncID{1}}},
@@ -63,7 +67,8 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(out, data) {
 			t.Fatalf("accepted image is not canonical: in %d bytes, out %d bytes", len(data), len(out))
 		}
-		// The reconstructed program must also survive without panicking.
-		_ = im.Program()
+		// Reconstructing the program must not panic either; it may
+		// reject a record whose seed its ID does not derive.
+		_, _ = im.Program()
 	})
 }

@@ -82,9 +82,10 @@ func FromProgram(p *program.Program) *Graph {
 		mark[i] = -1
 	}
 	counts := make([]int32, n+1)
-	dedupCallees := func(v int, f *program.Function, emit func(int32)) {
-		for ci := range f.Calls {
-			c := &f.Calls[ci]
+	dedupCallees := func(v int, emit func(int32)) {
+		calls := p.CallsOf(isa.FuncID(v))
+		for ci := range calls {
+			c := &calls[ci]
 			if c.Indirect() {
 				for _, t := range p.TargetSets[c.Targets].Funcs {
 					if int(t) != v && mark[t] != int32(v) {
@@ -99,9 +100,8 @@ func FromProgram(p *program.Program) *Graph {
 		}
 	}
 	for v := 0; v < n; v++ {
-		f := &p.Funcs[v]
-		g.size[v] = f.Size
-		dedupCallees(v, f, func(int32) { counts[v+1]++ })
+		g.size[v] = p.Funcs[v].Size
+		dedupCallees(v, func(int32) { counts[v+1]++ })
 	}
 	g.edgeStart = make([]int32, n+1)
 	for v := 0; v < n; v++ {
@@ -114,7 +114,7 @@ func FromProgram(p *program.Program) *Graph {
 	cursor := make([]int32, n)
 	copy(cursor, g.edgeStart[:n])
 	for v := 0; v < n; v++ {
-		dedupCallees(v, &p.Funcs[v], func(t int32) {
+		dedupCallees(v, func(t int32) {
 			g.edges[cursor[v]] = t
 			cursor[v]++
 		})

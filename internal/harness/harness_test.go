@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -153,7 +155,29 @@ func TestTable4Quick(t *testing.T) {
 		t.Fatalf("table4 rows = %d", len(tbl.Rows))
 	}
 	t.Log("\n" + tbl.String())
+	// The digest covers the static columns (Bundle entries, NumFuncs)
+	// as well as the dynamic ones, so a change to how a program is
+	// stored must leave it byte-identical.
+	got := tbl.Digest() + "\n"
+	path := filepath.FromSlash(table4DigestPath)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading pinned digest (refresh with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("table4 digest %q, pinned %q", strings.TrimSpace(got), strings.TrimSpace(string(want)))
+	}
 }
+
+// table4DigestPath pins TestTable4Quick's Table.Digest.
+const table4DigestPath = "testdata/table4_digest.txt"
 
 func TestExperimentDispatch(t *testing.T) {
 	if testing.Short() {

@@ -52,13 +52,31 @@ type Linked struct {
 	Graph *callgraph.Graph
 	// Analysis is the Bundle identification result (nil if skipped).
 	Analysis *callgraph.Analysis
-	// Image is the linked binary image including the .bundles segment.
+	// Segment is the .bundles segment (empty if skipped).
+	Segment binfmt.BundleSegment
+	// Image is the linked binary image including the .bundles segment
+	// (nil from LinkSegment).
 	Image *binfmt.Image
 }
 
-// Link lays out the program and runs the Bundle identification pass.
-// The program is modified in place (addresses assigned).
+// Link lays out the program, runs the Bundle identification pass and
+// writes the binary image: LinkSegment plus binfmt.FromProgram. The
+// program is modified in place (addresses assigned).
 func Link(p *program.Program, opt Options) (*Linked, error) {
+	l, err := LinkSegment(p, opt)
+	if err != nil {
+		return nil, err
+	}
+	l.Image = binfmt.FromProgram(p)
+	l.Image.Bundles = l.Segment
+	return l, nil
+}
+
+// LinkSegment is the link step up to the .bundles segment: it lays out
+// the program, builds the call graph and runs the Bundle identification
+// pass, but writes no image, which the loader does not need. The
+// program is modified in place (addresses assigned).
+func LinkSegment(p *program.Program, opt Options) (*Linked, error) {
 	if p.NumFuncs() == 0 {
 		return nil, fmt.Errorf("linker: empty program")
 	}
@@ -75,21 +93,18 @@ func Link(p *program.Program, opt Options) (*Linked, error) {
 
 	g := callgraph.FromProgram(p)
 	out := &Linked{Prog: p, Graph: g}
-
-	im := binfmt.FromProgram(p)
 	if !opt.SkipBundles {
 		a, err := callgraph.Analyze(g, callgraph.Options{Threshold: threshold, Cap: opt.Cap})
 		if err != nil {
 			return nil, fmt.Errorf("linker: bundle analysis: %w", err)
 		}
 		out.Analysis = a
-		im.Bundles = binfmt.BundleSegment{
+		out.Segment = binfmt.BundleSegment{
 			Threshold:   threshold,
 			Entries:     append([]isa.FuncID(nil), a.Entries...),
 			TaggedAddrs: taggedAddrs(p, a),
 		}
 	}
-	out.Image = im
 	return out, nil
 }
 
@@ -156,8 +171,9 @@ func taggedAddrs(p *program.Program, a *callgraph.Analysis) []isa.Addr {
 		if entry[i] {
 			addrs = append(addrs, f.Addr+isa.Addr(f.RetOff()))
 		}
-		for ci := range f.Calls {
-			c := &f.Calls[ci]
+		calls := p.CallsOf(isa.FuncID(i))
+		for ci := range calls {
+			c := &calls[ci]
 			tagged := false
 			if c.Indirect() {
 				for _, t := range p.TargetSets[c.Targets].Funcs {

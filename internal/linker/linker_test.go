@@ -139,7 +139,7 @@ func TestBundleSegmentContents(t *testing.T) {
 	// disjoint layout precludes).
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
-		for _, c := range f.Calls {
+		for _, c := range p.CallsOf(isa.FuncID(i)) {
 			if c.Indirect() {
 				continue
 			}

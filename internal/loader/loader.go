@@ -65,7 +65,10 @@ func Load(im *binfmt.Image) (*Loaded, error) {
 	if im.TextSize == 0 {
 		return nil, fmt.Errorf("loader: image %q is not linked", im.Name)
 	}
-	p := im.Program()
+	p, err := im.Program()
+	if err != nil {
+		return nil, fmt.Errorf("loader: %w", err)
+	}
 	if int(im.Entry) >= p.NumFuncs() {
 		return nil, fmt.Errorf("loader: entry %d out of range", im.Entry)
 	}
@@ -74,7 +77,7 @@ func Load(im *binfmt.Image) (*Loaded, error) {
 		if f.Addr < p.TextBase || uint64(f.Addr)+uint64(f.Size) > uint64(p.TextBase)+p.TextSize {
 			return nil, fmt.Errorf("loader: function %d outside text segment", i)
 		}
-		for _, c := range f.Calls {
+		for _, c := range p.CallsOf(isa.FuncID(i)) {
 			if c.Indirect() {
 				if int(c.Targets) >= len(p.TargetSets) {
 					return nil, fmt.Errorf("loader: function %d has dangling target set %d", i, c.Targets)
@@ -89,24 +92,26 @@ func Load(im *binfmt.Image) (*Loaded, error) {
 			return nil, fmt.Errorf("loader: tagged address %v outside any function", a)
 		}
 	}
-	return &Loaded{
-		Prog:      p,
-		Tags:      NewTagSet(im.Bundles.TaggedAddrs),
-		Entries:   append([]isa.FuncID(nil), im.Bundles.Entries...),
-		Threshold: im.Bundles.Threshold,
-	}, nil
+	return LoadSegment(p, im.Bundles), nil
 }
 
-// LoadLinked is a convenience for the common in-process path: it skips
-// the image round-trip and loads directly from a linker result, sharing
-// the already-linked program.
-func LoadLinked(prog *program.Program, im *binfmt.Image) *Loaded {
+// LoadSegment is the common in-process path: it applies a .bundles
+// segment straight from the linker to the already-linked program it
+// was computed for, with no image round-trip. The segment's entries and
+// tags are copied.
+func LoadSegment(prog *program.Program, seg binfmt.BundleSegment) *Loaded {
 	return &Loaded{
 		Prog:      prog,
-		Tags:      NewTagSet(im.Bundles.TaggedAddrs),
-		Entries:   append([]isa.FuncID(nil), im.Bundles.Entries...),
-		Threshold: im.Bundles.Threshold,
+		Tags:      NewTagSet(seg.TaggedAddrs),
+		Entries:   append([]isa.FuncID(nil), seg.Entries...),
+		Threshold: seg.Threshold,
 	}
+}
+
+// LoadLinked loads the .bundles segment of a linked image, sharing the
+// already-linked program it was built from.
+func LoadLinked(prog *program.Program, im *binfmt.Image) *Loaded {
+	return LoadSegment(prog, im.Bundles)
 }
 
 // Segment returns the .bundles segment this program was loaded from:

@@ -32,7 +32,7 @@ const (
 	ItemLoopRun
 	// ItemCall is a call region of CallRegionBytes at Off: a guard
 	// branch (Off), the call instruction (Off+4) and, for repeated
-	// calls, a backedge branch (Off+8). Arg indexes Function.Calls.
+	// calls, a backedge branch (Off+8). Arg indexes Program.Calls.
 	ItemCall
 	// ItemRet is the function's return instruction at Off.
 	ItemRet
@@ -51,7 +51,8 @@ type Item struct {
 	Off uint32
 	// Bytes is the region length for run-like items.
 	Bytes uint32
-	// Arg is the call index (ItemCall) or mean trip count (ItemLoopRun).
+	// Arg is the call site's index in Program.Calls (ItemCall) or the
+	// mean trip count (ItemLoopRun).
 	Arg uint32
 	// Bias is the fixed-point execute/taken probability for ItemCondRun.
 	Bias uint16
@@ -59,17 +60,17 @@ type Item struct {
 	Kind ItemKind
 }
 
-// AppendBody expands the function into its deterministic item list,
+// AppendBody expands function id into its deterministic item list,
 // appended to items (so a caller can expand into reused storage). The
-// list for a given function value never changes; Program.Body caches it.
-func AppendBody(items []Item, f *Function) []Item {
-	s := xrand.Mix(f.Seed, 0xB0D135)
-	rng := xrand.New(s)
+// list for a given function never changes; Body caches it.
+func (p *Program) AppendBody(items []Item, id isa.FuncID) []Item {
+	f := &p.Funcs[id]
+	rng := xrand.New(xrand.Mix(p.FuncSeed(id), 0xB0D135))
 	cur := uint32(0)
-	for i := range f.Calls {
-		off := f.Calls[i].Off
+	for i := f.FirstCall; i < f.FirstCall+f.NumCalls; i++ {
+		off := p.Calls[i].Off
 		items = fillGap(rng, items, cur, off)
-		items = append(items, Item{Off: off, Bytes: CallRegionBytes, Arg: uint32(i), Kind: ItemCall})
+		items = append(items, Item{Off: off, Bytes: CallRegionBytes, Arg: i, Kind: ItemCall})
 		cur = off + CallRegionBytes
 	}
 	items = fillGap(rng, items, cur, f.RetOff())
@@ -133,7 +134,7 @@ func fillGap(rng *xrand.RNG, items []Item, start, end uint32) []Item {
 // The program keeps each body it has expanded for as long as it lives,
 // so every engine over it (every run of a workload, every lane of a
 // request chain, a degraded load of the same program) shares one table.
-// Funcs must not change once Body has been called.
+// Funcs and Calls must not change once Body has been called.
 func (p *Program) Body(id isa.FuncID) []Item {
 	t := p.bodies.Load()
 	if t == nil {
@@ -142,7 +143,7 @@ func (p *Program) Body(id isa.FuncID) []Item {
 	if c := t.chunks[id/bodyChunkLen].Load(); c != nil && c.ready[id%bodyChunkLen].Load() {
 		return c.body[id%bodyChunkLen]
 	}
-	return t.publish(p.Func(id), id)
+	return t.publish(p, id)
 }
 
 // bodyTable holds the bodies a program has expanded. Readers take a
@@ -187,9 +188,9 @@ func (p *Program) newBodyTable() *bodyTable {
 	return p.bodies.Load()
 }
 
-// publish expands f (function id) into the slab and publishes it,
+// publish expands function id of p into the slab and publishes it,
 // unless another caller published it while this one waited for mu.
-func (t *bodyTable) publish(f *Function, id isa.FuncID) []Item {
+func (t *bodyTable) publish(p *Program, id isa.FuncID) []Item {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	c := t.chunks[id/bodyChunkLen].Load()
@@ -201,7 +202,7 @@ func (t *bodyTable) publish(f *Function, id isa.FuncID) []Item {
 	if c.ready[i].Load() {
 		return c.body[i]
 	}
-	t.expand = AppendBody(t.expand[:0], f)
+	t.expand = p.AppendBody(t.expand[:0], id)
 	n := len(t.expand)
 	if cap(t.slab)-len(t.slab) < n {
 		size := min(max(2*cap(t.slab), minBodySlab), maxBodySlab)

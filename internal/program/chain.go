@@ -115,6 +115,7 @@ func GenerateChain(c ChainConfig) (*Program, error) {
 	b.buildColdAndLibs()
 	b.patchPoolRefs()
 	b.buildOrphans()
+	b.packCalls()
 	return b.prog, nil
 }
 

@@ -173,6 +173,7 @@ func Generate(cfg Config) (*Program, error) {
 	b.buildColdAndLibs()
 	b.patchPoolRefs()
 	b.buildOrphans()
+	b.packCalls()
 	return b.prog, nil
 }
 
@@ -187,12 +188,7 @@ const (
 // newFunc appends a function and returns its ID.
 func (b *builder) newFunc(kind FuncKind, stage int16, size uint32) isa.FuncID {
 	id := isa.FuncID(len(b.prog.Funcs))
-	b.prog.Funcs = append(b.prog.Funcs, Function{
-		Size:  size,
-		Seed:  xrand.Mix(b.cfg.Seed, uint64(id), 0xB0D7),
-		Kind:  kind,
-		Stage: stage,
-	})
+	b.prog.Funcs = append(b.prog.Funcs, Function{Size: size, Kind: kind, Stage: stage})
 	return id
 }
 
@@ -374,16 +370,19 @@ func (b *builder) crossLink(handlers []isa.FuncID) {
 }
 
 // addCall appends a call site to an already-finalised function, growing
-// it if needed and recomputing all call-site offsets.
+// it if needed and recomputing all call-site offsets. Unless the
+// function's sites are the last in Program.Calls, they move to the end
+// first; packCalls drops the copies left behind.
 func (b *builder) addCall(id isa.FuncID, c Call) {
-	f := &b.prog.Funcs[id]
-	calls := append(f.Calls, c)
-	need := uint32((len(calls) + 3) * 4 * isa.InstrSize)
-	if f.Size < need {
-		f.Size = need
+	p := b.prog
+	f := &p.Funcs[id]
+	first := int(f.FirstCall)
+	if first+int(f.NumCalls) != len(p.Calls) {
+		first = len(p.Calls)
+		p.Calls = append(p.Calls, p.CallsOf(id)...)
 	}
-	AssignCallOffsets(f.Seed, f.Size, calls)
-	f.Calls = calls
+	p.Calls = append(p.Calls, c)
+	b.endCalls(id, first)
 }
 
 // addPoolRefs appends placeholder library and cold-path references to a
@@ -405,18 +404,46 @@ func (b *builder) addPoolRefs(calls []Call, withCold bool) []Call {
 	return calls
 }
 
-// setCalls finalises a function's call list: sizes the function to fit,
-// orders the sites, and assigns instruction-aligned offsets. Each
-// function's calls are finalised exactly once; later additions go
-// through addCall.
+// setCalls finalises a function's call list: appends the sites to
+// Program.Calls, sizes the function to fit, and assigns instruction-
+// aligned offsets. Each function's calls are finalised exactly once;
+// later additions go through addCall.
 func (b *builder) setCalls(id isa.FuncID, calls []Call) {
+	first := len(b.prog.Calls)
+	b.prog.Calls = append(b.prog.Calls, calls...)
+	b.endCalls(id, first)
+}
+
+// endCalls is setCalls for sites already appended to Program.Calls:
+// those from index first to the end are function id's.
+func (b *builder) endCalls(id isa.FuncID, first int) {
 	f := &b.prog.Funcs[id]
-	need := uint32((len(calls) + 3) * 4 * isa.InstrSize)
+	f.FirstCall, f.NumCalls = uint32(first), uint32(len(b.prog.Calls)-first)
+	need := (f.NumCalls + 3) * 4 * isa.InstrSize
 	if f.Size < need {
 		f.Size = need
 	}
-	AssignCallOffsets(f.Seed, f.Size, calls)
-	f.Calls = calls
+	AssignCallOffsets(b.prog.FuncSeed(id), f.Size, b.prog.CallsOf(id))
+}
+
+// packCalls rewrites Program.Calls in function-ID order at its exact
+// length. Generation appends each function's sites when they are
+// finalised, which is not ID order, and addCall leaves moved sites
+// behind.
+func (b *builder) packCalls() {
+	p := b.prog
+	n := 0
+	for i := range p.Funcs {
+		n += int(p.Funcs[i].NumCalls)
+	}
+	calls := make([]Call, 0, n)
+	for i := range p.Funcs {
+		f := &p.Funcs[i]
+		start := uint32(len(calls))
+		calls = append(calls, p.CallsOf(isa.FuncID(i))...)
+		f.FirstCall = start
+	}
+	p.Calls = calls
 }
 
 // AssignCallOffsets deterministically places call sites within a function
@@ -462,13 +489,25 @@ func (c *Config) poolFuncs() int {
 	return max(c.ColdTrees, 0)*max(c.ColdTreeFuncs, 1) + max(c.LibFuncs, 0) + max(c.OrphanFuncs, 0)
 }
 
+// poolCalls bounds the call-array entries the pools take: a tree edge
+// into every pool function but a tree root, at most two calls per
+// library, and per orphan tree the five calls buildOrphans adds plus
+// the root's and one interior node's sites (at most six each), which
+// addCall moves to the end of the array.
+func (c *Config) poolCalls() int {
+	treeSize := max(c.OrphanTreeFuncs, 2)
+	orphanTrees := (max(c.OrphanFuncs, 0) + treeSize - 1) / treeSize
+	return c.poolFuncs() + max(c.LibFuncs, 0) + 17*orphanTrees
+}
+
 // buildColdAndLibs creates the shared cold subtrees and the library pool.
 func (b *builder) buildColdAndLibs() {
 	cfg := b.cfg
 	// The pools are the bulk of a large program and their size is known
 	// exactly, so the function table grows once here instead of being
-	// copied at every doubling.
+	// copied at every doubling; so does the call array.
 	b.prog.Funcs = slices.Grow(b.prog.Funcs, cfg.poolFuncs())
+	b.prog.Calls = slices.Grow(b.prog.Calls, cfg.poolCalls())
 	// Cold subtrees: high fan-out trees of never-executed code. Their
 	// internal structure deliberately contains its own divergence
 	// points so that static Bundle identification, exactly like on a
@@ -483,8 +522,7 @@ func (b *builder) buildColdAndLibs() {
 		b.libs = append(b.libs, b.newFunc(KindLib, NoStage, b.funcSize(2)))
 	}
 	for i := 0; i < cfg.LibFuncs; i++ {
-		id := isa.FuncID(start + i)
-		var calls []Call
+		first := len(b.prog.Calls)
 		// Libraries call strictly deeper libraries, keeping the edge
 		// layering acyclic for dynamic execution.
 		remaining := cfg.LibFuncs - i - 1
@@ -495,10 +533,10 @@ func (b *builder) buildColdAndLibs() {
 			}
 			for j := 0; j < n; j++ {
 				callee := isa.FuncID(start + i + 1 + b.rng.IntN(remaining))
-				calls = append(calls, Call{Callee: callee, Prob: b.prob(), Repeat: 1})
+				b.prog.Calls = append(b.prog.Calls, Call{Callee: callee, Prob: b.prob(), Repeat: 1})
 			}
 		}
-		b.setCalls(id, calls)
+		b.endCalls(isa.FuncID(start+i), first)
 	}
 }
 
@@ -510,13 +548,13 @@ func (b *builder) buildColdTree(n int) isa.FuncID {
 	for next := 0; len(ids) < n; next++ {
 		parent := ids[next]
 		fanout := b.rng.Range(2, 6)
-		var calls []Call
+		first := len(b.prog.Calls)
 		for i := 0; i < fanout && len(ids) < n; i++ {
 			child := b.newFunc(KindCold, NoStage, b.funcSize(2))
 			ids = append(ids, child)
-			calls = append(calls, Call{Callee: child, Prob: 0, Repeat: 1})
+			b.prog.Calls = append(b.prog.Calls, Call{Callee: child, Prob: 0, Repeat: 1})
 		}
-		b.setCalls(parent, calls)
+		b.endCalls(parent, first)
 	}
 	return root
 }
@@ -527,19 +565,20 @@ func (b *builder) buildColdTree(n int) isa.FuncID {
 // library working set, like real code does).
 func (b *builder) patchPoolRefs() {
 	for i := range b.prog.Funcs {
-		f := &b.prog.Funcs[i]
-		for j := range f.Calls {
-			c := &f.Calls[j]
+		seed := b.prog.FuncSeed(isa.FuncID(i))
+		calls := b.prog.CallsOf(isa.FuncID(i))
+		for j := range calls {
+			c := &calls[j]
 			switch c.Callee {
 			case refLib:
 				if len(b.libs) == 0 {
 					c.Callee = isa.FuncID(i) // degenerate: drop to self-free no-op below
-					f.Calls[j].Prob = 0
+					c.Prob = 0
 					continue
 				}
 				// Locality: hash the caller with the placeholder salt
 				// so the same caller always picks the same libraries.
-				h := xrand.Mix(f.Seed, uint64(c.Targets))
+				h := xrand.Mix(seed, uint64(c.Targets))
 				c.Callee = b.libs[h%uint64(len(b.libs))]
 				c.Targets = 0
 			case refCold:
@@ -548,7 +587,7 @@ func (b *builder) patchPoolRefs() {
 					c.Callee = isa.FuncID(i)
 					continue
 				}
-				h := xrand.Mix(f.Seed, uint64(c.Targets), 0xC01D)
+				h := xrand.Mix(seed, uint64(c.Targets), 0xC01D)
 				c.Callee = b.colds[h%uint64(len(b.colds))]
 				c.Targets = 0
 			}

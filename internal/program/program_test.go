@@ -32,15 +32,12 @@ func TestGenerateDeterminism(t *testing.T) {
 		t.Fatalf("function counts differ: %d vs %d", a.NumFuncs(), b.NumFuncs())
 	}
 	for i := range a.Funcs {
-		fa, fb := &a.Funcs[i], &b.Funcs[i]
-		if fa.Size != fb.Size || fa.Seed != fb.Seed || fa.Kind != fb.Kind || len(fa.Calls) != len(fb.Calls) {
+		if a.Funcs[i] != b.Funcs[i] {
 			t.Fatalf("function %d differs between identical generations", i)
 		}
-		for j := range fa.Calls {
-			if fa.Calls[j] != fb.Calls[j] {
-				t.Fatalf("function %d call %d differs", i, j)
-			}
-		}
+	}
+	if !slices.Equal(a.Calls, b.Calls) {
+		t.Fatal("call sites differ between identical generations")
 	}
 }
 
@@ -82,8 +79,7 @@ func TestGenerateLayering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range p.Funcs {
-		f := &p.Funcs[i]
-		for _, c := range f.Calls {
+		for _, c := range p.CallsOf(isa.FuncID(i)) {
 			if c.Prob == 0 {
 				continue // cold edges may point anywhere
 			}
@@ -108,7 +104,7 @@ func TestCallSiteInvariants(t *testing.T) {
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
 		prev := int64(-int64(CallRegionBytes))
-		for j, c := range f.Calls {
+		for j, c := range p.CallsOf(isa.FuncID(i)) {
 			if c.Off%isa.InstrSize != 0 {
 				t.Fatalf("func %d call %d offset %d unaligned", i, j, c.Off)
 			}
@@ -137,9 +133,15 @@ func TestBodyCoversFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	next := uint32(0)
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
-		items := AppendBody(nil, f)
+		if f.FirstCall != next {
+			t.Fatalf("func %d calls start at %d, the previous function's end at %d", i, f.FirstCall, next)
+		}
+		next += f.NumCalls
+		calls := p.CallsOf(isa.FuncID(i))
+		items := p.AppendBody(nil, isa.FuncID(i))
 		if len(items) == 0 {
 			t.Fatalf("func %d has empty body", i)
 		}
@@ -151,12 +153,13 @@ func TestBodyCoversFunction(t *testing.T) {
 			}
 			switch it.Kind {
 			case ItemCall:
-				if int(it.Arg) != callIdx {
-					t.Fatalf("func %d call order broken", i)
+				if it.Arg != f.FirstCall+uint32(callIdx) {
+					t.Fatalf("func %d call %d has program-wide index %d, want %d",
+						i, callIdx, it.Arg, f.FirstCall+uint32(callIdx))
 				}
-				if it.Off != f.Calls[callIdx].Off {
+				if it.Off != calls[callIdx].Off {
 					t.Fatalf("func %d call %d body offset %d != static %d",
-						i, callIdx, it.Off, f.Calls[callIdx].Off)
+						i, callIdx, it.Off, calls[callIdx].Off)
 				}
 				callIdx++
 			case ItemRet:
@@ -177,9 +180,12 @@ func TestBodyCoversFunction(t *testing.T) {
 		if cur != f.Size {
 			t.Fatalf("func %d body covers %d bytes of %d", i, cur, f.Size)
 		}
-		if callIdx != len(f.Calls) {
-			t.Fatalf("func %d body has %d calls, static %d", i, callIdx, len(f.Calls))
+		if callIdx != len(calls) {
+			t.Fatalf("func %d body has %d calls, static %d", i, callIdx, len(calls))
 		}
+	}
+	if int(next) != len(p.Calls) {
+		t.Fatalf("functions own %d of %d call sites", next, len(p.Calls))
 	}
 }
 
@@ -188,8 +194,8 @@ func TestBodyDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &p.Funcs[p.Stages[1].Func]
-	a, b := AppendBody(nil, f), AppendBody(nil, f)
+	id := p.Stages[1].Func
+	a, b := p.AppendBody(nil, id), p.AppendBody(nil, id)
 	if len(a) != len(b) {
 		t.Fatal("body lengths differ")
 	}

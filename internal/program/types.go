@@ -13,6 +13,17 @@
 // linker can build the call graph; the fine-grained intra-function control
 // flow (filler branches and loops between call sites) is derived lazily and
 // deterministically from per-function seeds by the body builder.
+//
+// A program stores that static side compactly, because the cold and
+// orphan code that gives the linker realistic sizes is most of it: only
+// 2,532 of tidb-tpcc's 434,708 functions can be reached from its request
+// loop. Each Function is a 24-byte record without pointers: address,
+// size, stage, kind and a range of call sites. Every call site of the
+// program lives in one array, Program.Calls, in function-ID order, so a
+// function's sites are a contiguous run of it (Program.CallsOf). A
+// function's seed is not stored: it is derived from the program seed
+// and the function ID (Program.FuncSeed), as the generator has always
+// derived it, and an image whose records disagree is rejected.
 package program
 
 import (
@@ -21,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"hprefetch/internal/isa"
+	"hprefetch/internal/xrand"
 )
 
 // FuncKind describes a function's structural role in the synthetic
@@ -104,21 +116,21 @@ type TargetSet struct {
 }
 
 // Function is one function of the synthetic program. Addr is zero until
-// the linker assigns the final layout.
+// the linker assigns the final layout. The record holds no pointer, so
+// the garbage collector never scans a program's function table.
 type Function struct {
+	// Addr is the linked base address (0 before linking).
+	Addr isa.Addr
 	// Size is the code size in bytes (multiple of isa.InstrSize; at
 	// least MinFuncSize).
 	Size uint32
-	// Addr is the linked base address (0 before linking).
-	Addr isa.Addr
-	// Seed drives deterministic lazy body generation.
-	Seed uint64
-	// Kind is the structural role.
-	Kind FuncKind
+	// FirstCall and NumCalls locate the function's static call sites,
+	// in offset order, in Program.Calls.
+	FirstCall, NumCalls uint32
 	// Stage is the pipeline stage this function belongs to, or NoStage.
 	Stage int16
-	// Calls are the static call sites in offset order.
-	Calls []Call
+	// Kind is the structural role.
+	Kind FuncKind
 }
 
 // RetOff returns the offset of the function's return instruction (the
@@ -151,6 +163,9 @@ type Program struct {
 	Seed uint64
 	// Funcs holds every function, indexed by isa.FuncID.
 	Funcs []Function
+	// Calls holds every static call site, function by function in ID
+	// order; Function.FirstCall and NumCalls index it.
+	Calls []Call
 	// Entry is the request-loop root function.
 	Entry isa.FuncID
 	// Stages is the request pipeline in execution order.
@@ -180,6 +195,22 @@ func (p *Program) NumFuncs() int { return len(p.Funcs) }
 
 // Func returns the function with the given ID.
 func (p *Program) Func(id isa.FuncID) *Function { return &p.Funcs[id] }
+
+// CallsOf returns the static call sites of function id in offset order.
+// The slice aliases Program.Calls; its capacity ends with the function,
+// so appending to it cannot overwrite the next function's sites.
+func (p *Program) CallsOf(id isa.FuncID) []Call {
+	f := &p.Funcs[id]
+	end := f.FirstCall + f.NumCalls
+	return p.Calls[f.FirstCall:end:end]
+}
+
+// FuncSeed returns the seed that drives function id's call-site
+// placement and body expansion: a pure function of the program seed and
+// the ID, so no record stores it.
+func (p *Program) FuncSeed(id isa.FuncID) uint64 {
+	return xrand.Mix(p.Seed, uint64(id), 0xB0D7)
+}
 
 // FuncName synthesises a stable human-readable name for a function.
 // Names are derived rather than stored: with hundreds of thousands of

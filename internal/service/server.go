@@ -860,9 +860,14 @@ func (s *Server) handlePollRun(w http.ResponseWriter, r *http.Request) {
 		if d > 30*time.Second {
 			d = 30 * time.Second
 		}
+		// A stopped timer leaves the runtime's timer heap at once; one
+		// from time.After would stay live for all of d after the job
+		// finished.
+		t := time.NewTimer(d)
+		defer t.Stop()
 		select {
 		case <-j.Done():
-		case <-time.After(d):
+		case <-t.C:
 		case <-r.Context().Done():
 		}
 	}

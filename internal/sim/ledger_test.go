@@ -21,6 +21,34 @@ func ledger(t *testing.T, name string, st *sim.Stats) {
 	t.Logf("   late-FDIP by level L2/LLC/mem: %d/%d/%d  late-PF: %d/%d/%d",
 		st.LateFDIPByLevel[2], st.LateFDIPByLevel[3], st.LateFDIPByLevel[4],
 		st.LatePFByLevel[2], st.LatePFByLevel[3], st.LatePFByLevel[4])
+
+	// Every clean miss is served by exactly one level, every late hit
+	// has exactly one origin, and each origin's per-level split sums to
+	// its total.
+	if served := st.ServedL2 + st.ServedLLC + st.ServedMem; served != st.L1IDemandMisses {
+		t.Errorf("%s: ServedL2+ServedLLC+ServedMem = %d+%d+%d = %d, L1IDemandMisses %d",
+			name, st.ServedL2, st.ServedLLC, st.ServedMem, served, st.L1IDemandMisses)
+	}
+	if late := st.LateFDIP + st.LatePF; late != st.L1ILateHits {
+		t.Errorf("%s: LateFDIP+LatePF = %d+%d = %d, L1ILateHits %d",
+			name, st.LateFDIP, st.LatePF, late, st.L1ILateHits)
+	}
+	for _, c := range []struct {
+		name    string
+		total   uint64
+		byLevel [5]uint64
+	}{
+		{"LateFDIP", st.LateFDIP, st.LateFDIPByLevel},
+		{"LatePF", st.LatePF, st.LatePFByLevel},
+	} {
+		var sum uint64
+		for _, n := range c.byLevel {
+			sum += n
+		}
+		if sum != c.total {
+			t.Errorf("%s: %sByLevel %v sums to %d, %s %d", name, c.name, c.byLevel, sum, c.name, c.total)
+		}
+	}
 }
 
 func TestStallLedger(t *testing.T) {

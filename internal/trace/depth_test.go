@@ -24,14 +24,14 @@ func recursiveProgram() *program.Program {
 		RequestTypes: 1,
 		TypeWeights:  []float64{1},
 		Funcs: []program.Function{
-			{ // entry: always calls f1 once, then returns (loops forever).
-				Addr: base, Size: 32, Seed: 1, Stage: program.NoStage,
-				Calls: []program.Call{{Off: 8, Callee: 1, Prob: 0xFFFF, Repeat: 1}},
-			},
-			{ // f1: always calls itself.
-				Addr: base + 32, Size: 32, Seed: 2, Stage: program.NoStage,
-				Calls: []program.Call{{Off: 4, Callee: 1, Prob: 0xFFFF, Repeat: 1}},
-			},
+			// entry: always calls f1 once, then returns (loops forever).
+			{Addr: base, Size: 32, FirstCall: 0, NumCalls: 1, Stage: program.NoStage},
+			// f1: always calls itself.
+			{Addr: base + 32, Size: 32, FirstCall: 1, NumCalls: 1, Stage: program.NoStage},
+		},
+		Calls: []program.Call{
+			{Off: 8, Callee: 1, Prob: 0xFFFF, Repeat: 1},
+			{Off: 4, Callee: 1, Prob: 0xFFFF, Repeat: 1},
 		},
 	}
 	p.BuildAddrIndex()

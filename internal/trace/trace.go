@@ -214,7 +214,7 @@ func (e *Engine) step() {
 
 		case program.ItemLoopRun:
 			// Run [abs, abs+Bytes) with the backedge in the last slot.
-			// Trip counts are fixed per site (see program.AppendBody), so
+			// Trip counts are fixed per site (see Program.AppendBody), so
 			// history-based direction predictors can learn the exits.
 			if fr.loopLeft == 0 {
 				fr.loopLeft = it.Arg
@@ -254,8 +254,7 @@ func (e *Engine) step() {
 // stepCall handles the call-region state machine: guard branch, call(s),
 // repeat backedge, and the trailing slot.
 func (e *Engine) stepCall(fr *frame, it *program.Item, abs isa.Addr) {
-	f := e.prog.Func(fr.fn)
-	c := &f.Calls[it.Arg]
+	c := &e.prog.Calls[it.Arg]
 	callPC := abs + program.CallInstrOff
 	slotPC := abs + 2*isa.InstrSize
 	regionEnd := abs + program.CallRegionBytes

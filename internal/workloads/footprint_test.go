@@ -1,0 +1,117 @@
+package workloads_test
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"hprefetch/internal/isa"
+	"hprefetch/internal/program"
+	"hprefetch/internal/workloads"
+)
+
+// TestColdCodeUnreachable: in every workload, the functions a run can
+// reach from the request loop, through direct calls that can execute
+// (Prob > 0) or through any indirect call's target set, include no
+// KindCold function. Cold and orphan code exists only to give the
+// linker realistic sizes and layout, so a compact program may treat it
+// as never run.
+func TestColdCodeUnreachable(t *testing.T) {
+	for _, name := range workloads.AllSorted() {
+		b, err := workloads.Build(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p := b.Loaded.Prog
+		seen := make([]bool, p.NumFuncs())
+		seen[p.Entry] = true
+		stack := []isa.FuncID{p.Entry}
+		visit := func(id isa.FuncID) {
+			if !seen[id] {
+				seen[id] = true
+				stack = append(stack, id)
+			}
+		}
+		reached, cold := 0, 0
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			reached++
+			if p.Func(id).Kind == program.KindCold {
+				cold++
+				if cold <= 3 {
+					t.Errorf("%s: cold function %d (%s) is reachable from the entry", name, id, p.FuncName(id))
+				}
+			}
+			for _, c := range p.CallsOf(id) {
+				switch {
+				case c.Indirect():
+					for _, target := range p.TargetSets[c.Targets].Funcs {
+						visit(target)
+					}
+				case c.Prob > 0:
+					visit(c.Callee)
+				}
+			}
+		}
+		if cold > 0 {
+			t.Errorf("%s: %d cold functions reachable", name, cold)
+		}
+		t.Logf("%s: %d of %d functions reachable", name, reached, p.NumFuncs())
+	}
+}
+
+// TestProgramFootprint guards what a program costs to keep: a function
+// record of at most 24 bytes, no pointer in a function or call record
+// (so the collector never scans them), and a call array with no spare
+// capacity once generation or image decoding has built it.
+func TestProgramFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(program.Function{}); n > 24 {
+		t.Errorf("program.Function is %d bytes, at most 24 allowed", n)
+	}
+	for _, v := range []any{program.Function{}, program.Call{}} {
+		if path := pointerIn(reflect.TypeOf(v), reflect.TypeOf(v).Name()); path != "" {
+			t.Errorf("%s holds a pointer", path)
+		}
+	}
+	// gin comes from program.Generate, chain-burst from GenerateChain.
+	for _, name := range []string{"gin", "chain-burst"} {
+		l, err := workloads.Link(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n, c := len(l.Prog.Calls), cap(l.Prog.Calls); n != c {
+			t.Errorf("%s: generated call array has len %d, cap %d", name, n, c)
+		}
+		q, err := l.Image.Program()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n, c := len(q.Calls), cap(q.Calls); n != c {
+			t.Errorf("%s: decoded call array has len %d, cap %d", name, n, c)
+		}
+	}
+}
+
+// pointerIn returns the path to the first pointer-holding part of ty,
+// or "" if it holds none.
+func pointerIn(ty reflect.Type, path string) string {
+	switch ty.Kind() {
+	case reflect.Struct:
+		for i := range ty.NumField() {
+			f := ty.Field(i)
+			if p := pointerIn(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerIn(ty.Elem(), path+"[]")
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	default:
+		return path + " (" + ty.Kind().String() + ")"
+	}
+}

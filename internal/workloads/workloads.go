@@ -390,25 +390,40 @@ func (f *flight) run(name string) {
 }
 
 // build links and loads one workload, keeping only the loaded program.
+// It loads straight from the .bundles segment, with no binary image.
 func build(name string) (*Built, error) {
-	l, err := Link(name)
+	w, p, err := generate(name)
 	if err != nil {
 		return nil, err
 	}
-	w, err := Get(name)
+	l, err := linker.LinkSegment(p, linker.Options{})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workloads %s: %w", name, err)
 	}
-	return &Built{Workload: w, Loaded: loader.LoadLinked(l.Prog, l.Image)}, nil
+	return &Built{Workload: w, Loaded: loader.LoadSegment(l.Prog, l.Segment)}, nil
 }
 
 // Link generates and links a workload afresh, with no memoisation: the
 // binary image, call graph and Bundle analysis that Build discards, for
-// tools that inspect them. Its image is the one Build loads.
+// tools that inspect them. Its image's .bundles segment is the one
+// Build loads.
 func Link(name string) (*linker.Linked, error) {
-	w, err := Get(name)
+	_, p, err := generate(name)
 	if err != nil {
 		return nil, err
+	}
+	l, err := linker.Link(p, linker.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("workloads %s: %w", name, err)
+	}
+	return l, nil
+}
+
+// generate resolves a workload and generates its program.
+func generate(name string) (Workload, *program.Program, error) {
+	w, err := Get(name)
+	if err != nil {
+		return Workload{}, nil, err
 	}
 	gen := w.Generator
 	if gen == nil {
@@ -416,13 +431,9 @@ func Link(name string) (*linker.Linked, error) {
 	}
 	p, err := gen()
 	if err != nil {
-		return nil, fmt.Errorf("workloads %s: %w", name, err)
+		return Workload{}, nil, fmt.Errorf("workloads %s: %w", name, err)
 	}
-	l, err := linker.Link(p, linker.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("workloads %s: %w", name, err)
-	}
-	return l, nil
+	return w, p, nil
 }
 
 // DropCache releases all memoised workloads (tests and memory-sensitive
