@@ -271,7 +271,7 @@ func AnalyzeWorkload(name string) (BundleReport, error) {
 	if err != nil {
 		return BundleReport{}, err
 	}
-	total := b.Loaded.Prog.NumFuncs()
+	total := b.Loaded.Prog.TextFuncs()
 	entries := len(b.Loaded.Entries)
 	return BundleReport{
 		Workload:           name,

@@ -82,6 +82,9 @@ type Table struct {
 	meta []LineMeta
 	cnt  []uint8 // per-set occupancy (valid lines form a prefix)
 
+	// removals counts the times lines left the table (see Removals).
+	removals uint64
+
 	// Hits and Misses count Lookup outcomes.
 	Hits, Misses uint64
 }
@@ -107,6 +110,11 @@ func New(cfg Config) (*Table, error) {
 
 // Config returns the table's configuration.
 func (t *Table) Config() Config { return t.cfg }
+
+// Removals counts the times lines have left the table: evictions,
+// invalidations and resets. A key resident when it read some value is
+// still resident while the count reads the same.
+func (t *Table) Removals() uint64 { return t.removals }
 
 // Lookup probes for key; on a hit it refreshes LRU, counts the hit, and
 // returns a pointer to the line's metadata (valid until the next
@@ -173,6 +181,7 @@ func (t *Table) Insert(key uint64, meta LineMeta) (evictedKey uint64, evictedMet
 	if n == t.ways {
 		// Set full: the LRU line (last in recency order) is displaced.
 		evictedKey, evictedMeta, evicted = t.keys[base+n-1], t.meta[base+n-1], true
+		t.removals++
 		n--
 	} else {
 		t.cnt[set]++
@@ -196,6 +205,7 @@ func (t *Table) Invalidate(key uint64) (LineMeta, bool) {
 			copy(t.keys[base+w:base+n-1], t.keys[base+w+1:base+n])
 			copy(t.meta[base+w:base+n-1], t.meta[base+w+1:base+n])
 			t.cnt[set]--
+			t.removals++
 			return meta, true
 		}
 	}
@@ -218,10 +228,12 @@ func (t *Table) touch(base, way int) {
 
 // Reset clears contents and statistics, leaving the table as New
 // builds it: slots past each set's occupancy keep stale lines, which no
-// operation reads.
+// operation reads. It counts as a removal, so Removals never repeats a
+// value across it.
 func (t *Table) Reset() {
 	clear(t.cnt)
 	t.Hits, t.Misses = 0, 0
+	t.removals++
 }
 
 // MSHR is one in-flight fill.

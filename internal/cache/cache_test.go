@@ -470,3 +470,30 @@ func TestMSHRResetEqualsFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestRemovalsCountsEveryLoss: Removals moves exactly when a line leaves
+// the table (an eviction, an invalidation of a resident key, a reset),
+// and not on lookups, refreshes, fills of a free way or misses.
+func TestRemovalsCountsEveryLoss(t *testing.T) {
+	c := mustNew(t, Config{Name: "l1i", Sets: 1, Ways: 2})
+	steps := []struct {
+		op   func()
+		want uint64
+	}{
+		{func() { c.Insert(1, LineMeta{}) }, 0},
+		{func() { c.Insert(2, LineMeta{}) }, 0},
+		{func() { c.Lookup(1); c.Lookup(9); c.Contains(2) }, 0},
+		{func() { c.Insert(1, LineMeta{Used: true}) }, 0},
+		{func() { c.Insert(3, LineMeta{}) }, 1}, // evicts 2
+		{func() { c.Invalidate(7) }, 1},
+		{func() { c.Invalidate(3) }, 2},
+		{func() { c.Reset() }, 3},
+		{func() { c.Insert(4, LineMeta{}) }, 3},
+	}
+	for i, s := range steps {
+		s.op()
+		if got := c.Removals(); got != s.want {
+			t.Fatalf("step %d: Removals = %d, want %d", i, got, s.want)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 
 	"hprefetch/internal/core"
 	"hprefetch/internal/fault"
+	"hprefetch/internal/loader"
 	"hprefetch/internal/tracefile"
 	"hprefetch/internal/workloads"
 )
@@ -211,6 +212,42 @@ func TestFaultGoldenDigests(t *testing.T) {
 		got = append(got, goldenRun(t, "gin", SchemeHier, sub))
 	}
 	checkGoldenFile(t, faultGoldenPath, got)
+}
+
+// TestPrunedFaultTagDrops: the fault path loads a built workload's
+// pruned program degraded, and most of tidb-tpcc's tags sit in cold code
+// that program no longer keeps. Under bundle-corrupt and bundle-stale, at
+// their default rates and at a higher one, it must drop and keep exactly
+// the tags a degraded load of the whole linked program does. A stale
+// table's skew moves tags whole instructions onward, which on tidb-tpcc
+// lands none of them outside a function, so only corrupt tables drop
+// some.
+func TestPrunedFaultTagDrops(t *testing.T) {
+	built, err := workloads.Build("tidb-tpcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := workloads.Link("tidb-tpcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []fault.Class{fault.ClassBundleCorrupt, fault.ClassBundleStale} {
+		for _, cfg := range []fault.Config{{Class: c}, {Class: c, Rate: 0.6, Seed: 7}} {
+			inj, err := fault.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := loader.LoadLinkedDegraded(built.Loaded.Prog, built.Loaded.Segment(), inj.PerturbBundles)
+			want := loader.LoadLinkedDegraded(l.Prog, l.Segment, inj.PerturbBundles)
+			if got.TagDrops != want.TagDrops || !reflect.DeepEqual(got.Segment(), want.Segment()) {
+				t.Errorf("%s: pruned load drops %d tags and keeps %d, whole program drops %d and keeps %d",
+					cfg, got.TagDrops, got.Tags.Len(), want.TagDrops, want.Tags.Len())
+			}
+			if c == fault.ClassBundleCorrupt && want.TagDrops == 0 {
+				t.Errorf("%s: no tag dropped; the check shows nothing", cfg)
+			}
+		}
+	}
 }
 
 // TestGoldenDigestsOnRecycledTables: a run takes its machine's and its

@@ -98,7 +98,7 @@ func Table4BundleStats(rc RunConfig) (*Table, error) {
 			return nil, err
 		}
 		nStatic := len(built.Loaded.Entries)
-		total := built.Loaded.Prog.NumFuncs()
+		total := built.Loaded.Prog.TextFuncs()
 		frac := float64(nStatic) / float64(total)
 		r, err := Run(w, SchemeHier, sub)
 		if err != nil {

@@ -22,9 +22,6 @@ import (
 // DefaultTextBase is where the text segment is placed.
 const DefaultTextBase = isa.Addr(0x0040_0000)
 
-// funcAlign aligns every function start; real linkers align to 16 bytes.
-const funcAlign = 16
-
 // Options configures the link step.
 type Options struct {
 	// Threshold is the Bundle divergence threshold in bytes
@@ -147,7 +144,7 @@ func layout(p *program.Program, base isa.Addr, shuffle bool) {
 		f := p.Func(id)
 		f.Addr = addr
 		addr += isa.Addr(f.Size)
-		addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
+		addr = (addr + program.FuncAlign - 1) &^ (program.FuncAlign - 1)
 	}
 	p.TextBase = base
 	p.TextSize = uint64(addr - base)

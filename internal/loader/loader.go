@@ -138,7 +138,8 @@ type PerturbFn func(binfmt.BundleSegment) binfmt.BundleSegment
 // stale or corrupted Bundle table — are dropped and counted in TagDrops
 // instead of failing the load. This models what a production loader
 // must do: a binary whose prefetch metadata is bad still has to run,
-// just without the bad hints.
+// just without the bad hints. A pruned program answers for its whole
+// text, so the drops are those of the full program.
 func LoadLinkedDegraded(prog *program.Program, seg binfmt.BundleSegment, perturb PerturbFn) *Loaded {
 	if perturb != nil {
 		seg = perturb(seg)
@@ -147,7 +148,7 @@ func LoadLinkedDegraded(prog *program.Program, seg binfmt.BundleSegment, perturb
 	drops := 0
 	kept := make([]isa.Addr, 0, len(tags))
 	for _, a := range tags {
-		if _, ok := prog.FuncAt(a); ok {
+		if prog.InFunc(a) {
 			kept = append(kept, a)
 		} else {
 			drops++

@@ -204,39 +204,48 @@ func (r *Region) Blocks(dst []isa.Block) []isa.Block {
 // RegionBuffer is the fully-associative FIFO compression buffer of §5.3.1:
 // retiring blocks coalesce into the matching region; when a new region is
 // needed the oldest one is evicted and handed to the caller.
+//
+// Slots fill in order from 0 after every Clear, so the valid regions are
+// always regions[:size], and once the buffer is full head is the oldest.
 type RegionBuffer struct {
 	regions []Region
-	valid   []bool
 	head    int // next FIFO eviction slot
 	size    int
+
+	// last is the most recently inserted block, valid when haveLast. No
+	// region changes until the next Insert, so inserting it again would
+	// only set a bit already set.
+	last     isa.Block
+	haveLast bool
 }
 
 // NewRegionBuffer builds a buffer with the given entry count (the paper
 // uses 16 entries per core).
 func NewRegionBuffer(entries int) *RegionBuffer {
-	return &RegionBuffer{
-		regions: make([]Region, entries),
-		valid:   make([]bool, entries),
-	}
+	return &RegionBuffer{regions: make([]Region, entries)}
 }
 
 // Insert records a retired block. When the block opens a new region and
 // the buffer is full, the oldest region is evicted and returned.
 func (rb *RegionBuffer) Insert(b isa.Block) (evicted Region, ok bool) {
-	for i := range rb.regions {
-		if rb.valid[i] && rb.regions[i].Contains(b) {
-			rb.regions[i].Set(b)
+	if rb.haveLast && b == rb.last {
+		return Region{}, false
+	}
+	rb.last, rb.haveLast = b, true
+	valid := rb.regions[:rb.size]
+	for i := range valid {
+		if valid[i].Contains(b) {
+			valid[i].Set(b)
 			return Region{}, false
 		}
 	}
 	slot := rb.head
-	if rb.valid[slot] {
+	if rb.size == len(rb.regions) {
 		evicted, ok = rb.regions[slot], true
 	} else {
 		rb.size++
 	}
 	rb.regions[slot] = Region{Base: b, Vec: 1}
-	rb.valid[slot] = true
 	rb.head = (rb.head + 1) % len(rb.regions)
 	return evicted, ok
 }
@@ -244,11 +253,11 @@ func (rb *RegionBuffer) Insert(b isa.Block) (evicted Region, ok bool) {
 // Flush evicts every valid region in FIFO order, oldest first,
 // appending them to dst.
 func (rb *RegionBuffer) Flush(dst []Region) []Region {
-	n := len(rb.regions)
-	for i := 0; i < n; i++ {
-		if slot := (rb.head + i) % n; rb.valid[slot] {
-			dst = append(dst, rb.regions[slot])
-		}
+	if rb.size == len(rb.regions) {
+		dst = append(dst, rb.regions[rb.head:]...)
+		dst = append(dst, rb.regions[:rb.head]...)
+	} else {
+		dst = append(dst, rb.regions[:rb.size]...)
 	}
 	rb.Clear()
 	return dst
@@ -256,9 +265,9 @@ func (rb *RegionBuffer) Flush(dst []Region) []Region {
 
 // Clear drops every buffered region.
 func (rb *RegionBuffer) Clear() {
-	clear(rb.valid)
 	rb.size = 0
 	rb.head = 0
+	rb.haveLast = false
 }
 
 // Len returns the number of valid regions buffered.

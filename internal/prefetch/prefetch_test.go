@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +92,87 @@ func TestRegionBufferProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// refRegionBuffer is a naive model of RegionBuffer: regions in FIFO
+// order, oldest first, searched in the slot order a ring of the same
+// size would give them.
+type refRegionBuffer struct {
+	entries int
+	fifo    []Region // oldest first
+	slot    []int    // ring slot of each fifo entry
+	next    int
+}
+
+func (r *refRegionBuffer) insert(b isa.Block) (Region, bool) {
+	match := -1
+	for i := range r.fifo {
+		if r.fifo[i].Contains(b) && (match < 0 || r.slot[i] < r.slot[match]) {
+			match = i
+		}
+	}
+	if match >= 0 {
+		r.fifo[match].Set(b)
+		return Region{}, false
+	}
+	var ev Region
+	evicted := len(r.fifo) == r.entries
+	if evicted {
+		ev = r.fifo[0]
+		r.fifo, r.slot = r.fifo[1:], r.slot[1:]
+	}
+	r.fifo = append(r.fifo, Region{Base: b, Vec: 1})
+	r.slot = append(r.slot, r.next)
+	r.next = (r.next + 1) % r.entries
+	return ev, evicted
+}
+
+func (r *refRegionBuffer) flush() []Region {
+	out := append([]Region(nil), r.fifo...)
+	r.fifo, r.slot, r.next = nil, nil, 0
+	return out
+}
+
+// TestRegionBufferMatchesReference: over random streams of inserts (with
+// repeats and overlapping regions), flushes and clears, the buffer
+// evicts, reports and flushes exactly what the naive model does.
+func TestRegionBufferMatchesReference(t *testing.T) {
+	f := func(entries uint8, ops []uint16) bool {
+		n := int(entries%6) + 1
+		rb, ref := NewRegionBuffer(n), &refRegionBuffer{entries: n}
+		var prev isa.Block
+		for _, op := range ops {
+			switch {
+			case op%53 == 0:
+				if !slices.Equal(rb.Flush(nil), ref.flush()) {
+					return false
+				}
+			case op%61 == 0:
+				rb.Clear()
+				ref.flush()
+			default:
+				// A small block range makes overlaps common, and every
+				// fifth insert repeats the block before it.
+				b := isa.Block(op % 256)
+				if op%5 == 0 {
+					b = prev
+				}
+				prev = b
+				gotEv, gotOK := rb.Insert(b)
+				wantEv, wantOK := ref.insert(b)
+				if gotEv != wantEv || gotOK != wantOK {
+					return false
+				}
+			}
+			if rb.Len() != len(ref.fifo) {
+				return false
+			}
+		}
+		return slices.Equal(rb.Flush(nil), ref.flush())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -374,3 +374,34 @@ func TestSetAddrIndexMatchesSortedIndex(t *testing.T) {
 		t.Errorf("FuncAt = %d, %v; want %d", id, ok, order[5])
 	}
 }
+
+// TestPruneNeedsPackedLayout: Prune derives every function's start from
+// the end of the one before it, so it accepts a layout packed at
+// FuncAlign and refuses one that is not, leaving the program whole.
+func TestPruneNeedsPackedLayout(t *testing.T) {
+	for _, align := range []isa.Addr{FuncAlign, isa.InstrSize} {
+		p, err := Generate(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := make([]isa.FuncID, p.NumFuncs())
+		for i := range order {
+			order[i] = isa.FuncID((i * 7919) % len(order))
+		}
+		addr := isa.Addr(0x40_0000)
+		for _, id := range order {
+			p.Funcs[id].Addr = addr
+			addr = (addr + isa.Addr(p.Funcs[id].Size) + align - 1) &^ (align - 1)
+		}
+		p.TextBase, p.TextSize = 0x40_0000, uint64(addr-0x40_0000)
+		p.SetAddrIndex(order)
+		n := p.NumFuncs()
+		err = p.Prune()
+		switch {
+		case align == FuncAlign && (err != nil || p.NumFuncs() >= n || p.TextFuncs() != n):
+			t.Errorf("packed layout: Prune = %v, keeps %d of %d functions", err, p.NumFuncs(), p.TextFuncs())
+		case align != FuncAlign && (err == nil || p.NumFuncs() != n):
+			t.Errorf("unpadded layout: Prune = %v, keeps %d of %d functions", err, p.NumFuncs(), n)
+		}
+	}
+}

@@ -23,7 +23,9 @@
 // function's sites are a contiguous run of it (Program.CallsOf). A
 // function's seed is not stored: it is derived from the program seed
 // and the function ID (Program.FuncSeed), as the generator has always
-// derived it, and an image whose records disagree is rejected.
+// derived it, and an image whose records disagree is rejected. A
+// program that only runs read can go further: Prune drops every record
+// above the highest function a run can reach.
 package program
 
 import (
@@ -141,6 +143,10 @@ func (f *Function) RetOff() uint32 { return f.Size - isa.InstrSize }
 // at least a couple of instructions plus the return.
 const MinFuncSize = 4 * isa.InstrSize
 
+// FuncAlign aligns the start of every linked function; real linkers
+// align to 16 bytes.
+const FuncAlign = 16
+
 // Stage describes one pipeline stage of the application.
 type Stage struct {
 	// Name is the stage label (e.g. "Exec").
@@ -185,12 +191,18 @@ type Program struct {
 	// shuffles layout, so ID order is not address order.
 	addrIndex []isa.FuncID
 
+	// textEnds, set by Prune on a linked program, holds the end offset
+	// from TextBase of every function the text held, in address order
+	// (see InFunc).
+	textEnds []uint32
+
 	// bodies holds the function bodies expanded so far (see Body); nil
 	// until the first call.
 	bodies atomic.Pointer[bodyTable]
 }
 
-// NumFuncs returns the total number of functions.
+// NumFuncs returns the number of function records: every function, or
+// for a pruned program the ones kept (see TextFuncs).
 func (p *Program) NumFuncs() int { return len(p.Funcs) }
 
 // Func returns the function with the given ID.

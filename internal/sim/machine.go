@@ -79,6 +79,13 @@ type Machine struct {
 	haveLast     bool
 	nextPFSlot   uint64
 	missLatEst   uint64
+
+	// The cursor's last FDIP probe (see probeFDIP): its block, whether it
+	// left the block resident, and the L1-I's Removals count after it.
+	probeBlk      isa.Block
+	probeHeld     bool
+	probeRemovals uint64
+
 	// fetchScale is the scaled front-end time to fetch one instruction,
 	// CycleScale/FetchWidth (New rejects widths that leave a remainder).
 	fetchScale uint64
@@ -401,12 +408,26 @@ func (m *Machine) advanceCursor() {
 		}
 		m.cursorClock += CycleScale
 		if !m.prm.DisableFDIP && !m.prm.PerfectL1I {
-			if m.issueFill(ev.Block(), cache.OriginFDIP, m.cursorClock) {
-				m.st.FDIPIssued++
-			}
+			m.probeFDIP(ev.Block())
 		}
 		m.blocked = m.predictSpec(ev)
 	}
+}
+
+// probeFDIP is the prediction cursor's fill request for blk. Events often
+// repeat the block before them. A block the cursor's last probe left in
+// the L1-I or an MSHR is still there while the L1-I has lost no line,
+// since an MSHR entry leaves only by installing into the L1-I; probing it
+// again would change nothing, so that probe is skipped.
+func (m *Machine) probeFDIP(blk isa.Block) {
+	if m.probeHeld && blk == m.probeBlk && m.l1i.Removals() == m.probeRemovals {
+		return
+	}
+	r := m.issueFill(blk, cache.OriginFDIP, m.cursorClock)
+	if r == fillIssued {
+		m.st.FDIPIssued++
+	}
+	m.probeBlk, m.probeHeld, m.probeRemovals = blk, r != fillDropped, m.l1i.Removals()
 }
 
 // dry latches the end-of-stream error, marking the whole window pulled
@@ -927,26 +948,40 @@ func (m *Machine) stall(scaled uint64) {
 	m.st.StallScaled += exposed
 }
 
+// fillResult is what a fill request did.
+type fillResult uint8
+
+const (
+	// fillDropped: no fill started and the block is not resident (no
+	// MSHR was free, or the run failed).
+	fillDropped fillResult = iota
+	// fillResident: the block was already in the L1-I or an MSHR.
+	fillResident
+	// fillIssued: a new fill started, into an MSHR unless it was a
+	// prefetch directed at the L2.
+	fillIssued
+)
+
 // issueFill requests an asynchronous block fill (FDIP or evaluated
-// prefetcher). It returns true if a new fill was actually started.
-func (m *Machine) issueFill(blk isa.Block, origin cache.Origin, earliest uint64) bool {
+// prefetcher).
+func (m *Machine) issueFill(blk isa.Block, origin cache.Origin, earliest uint64) fillResult {
 	return m.issueFillSeq(blk, origin, earliest, m.blockSeq)
 }
 
 // issueFillSeq is issueFill with an explicit trigger sequence number for
 // distance accounting.
-func (m *Machine) issueFillSeq(blk isa.Block, origin cache.Origin, earliest uint64, seq uint64) bool {
+func (m *Machine) issueFillSeq(blk isa.Block, origin cache.Origin, earliest uint64, seq uint64) fillResult {
 	if m.l1i.Contains(uint64(blk)) {
 		if origin == cache.OriginPF {
 			m.st.PFRedundant++
 		}
-		return false
+		return fillResident
 	}
 	if _, inflight := m.mshr.Lookup(blk); inflight {
 		if origin == cache.OriginPF {
 			m.st.PFRedundant++
 		}
-		return false
+		return fillResident
 	}
 	if m.mshrFull() {
 		// Opportunistically retire completed fills, then give up.
@@ -955,7 +990,7 @@ func (m *Machine) issueFillSeq(blk isa.Block, origin cache.Origin, earliest uint
 			if origin == cache.OriginPF {
 				m.st.PFDropped++
 			}
-			return false
+			return fillDropped
 		}
 	}
 	issueAt := m.now
@@ -996,7 +1031,7 @@ func (m *Machine) issueFillSeq(blk isa.Block, origin cache.Origin, earliest uint
 	if m.prm.PrefetchToL2 && origin == cache.OriginPF {
 		// §7.8: direct the evaluated prefetcher at the L2. fillPath has
 		// already installed the line there; only bandwidth was charged.
-		return true
+		return fillIssued
 	}
 	if err := m.mshr.Add(&cache.MSHR{
 		Block:    blk,
@@ -1008,9 +1043,9 @@ func (m *Machine) issueFillSeq(blk isa.Block, origin cache.Origin, earliest uint
 		// Full/Lookup were checked above, so this means the machine's
 		// occupancy accounting has drifted; fail the run cleanly.
 		m.fail(fmt.Errorf("sim: %s fill of block %#x: %w", origin, uint64(blk), err))
-		return false
+		return fillDropped
 	}
-	return true
+	return fillIssued
 }
 
 // drainMSHR retires completed fills into the L1-I.
@@ -1088,7 +1123,7 @@ func (m *Machine) Prefetch(blk isa.Block) bool {
 		m.drainPFQueue()
 	}
 	if m.pfLen == 0 && !m.mshrFull() {
-		if m.issueFillSeq(blk, cache.OriginPF, m.now, m.blockSeq) {
+		if m.issueFillSeq(blk, cache.OriginPF, m.now, m.blockSeq) == fillIssued {
 			m.st.PFIssued++
 			return true
 		}
@@ -1129,7 +1164,7 @@ func (m *Machine) drainPFQueue() {
 		r := m.pfQueue[m.pfHead]
 		m.pfHead = (m.pfHead + 1) % len(m.pfQueue)
 		m.pfLen--
-		if m.issueFillSeq(r.block, cache.OriginPF, m.now, r.seq) {
+		if m.issueFillSeq(r.block, cache.OriginPF, m.now, r.seq) == fillIssued {
 			m.st.PFIssued++
 		}
 	}

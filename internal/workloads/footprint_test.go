@@ -10,47 +10,29 @@ import (
 	"hprefetch/internal/workloads"
 )
 
-// TestColdCodeUnreachable: in every workload, the functions a run can
-// reach from the request loop, through direct calls that can execute
-// (Prob > 0) or through any indirect call's target set, include no
-// KindCold function. Cold and orphan code exists only to give the
-// linker realistic sizes and layout, so a compact program may treat it
-// as never run.
+// TestColdCodeUnreachable: in every workload's whole program, the
+// functions a run can reach from the request loop, through direct calls
+// that can execute (Prob > 0) or through any indirect call's target set,
+// include no KindCold function. Cold and orphan code exists only to give
+// the linker realistic sizes and layout, so a built workload may drop it.
 func TestColdCodeUnreachable(t *testing.T) {
 	for _, name := range workloads.AllSorted() {
-		b, err := workloads.Build(name)
+		l, err := workloads.Link(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		p := b.Loaded.Prog
-		seen := make([]bool, p.NumFuncs())
-		seen[p.Entry] = true
-		stack := []isa.FuncID{p.Entry}
-		visit := func(id isa.FuncID) {
-			if !seen[id] {
-				seen[id] = true
-				stack = append(stack, id)
-			}
-		}
+		p := l.Prog
+		seen := reachable(p)
 		reached, cold := 0, 0
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+		for id, ok := range seen {
+			if !ok {
+				continue
+			}
 			reached++
-			if p.Func(id).Kind == program.KindCold {
+			if p.Funcs[id].Kind == program.KindCold {
 				cold++
 				if cold <= 3 {
-					t.Errorf("%s: cold function %d (%s) is reachable from the entry", name, id, p.FuncName(id))
-				}
-			}
-			for _, c := range p.CallsOf(id) {
-				switch {
-				case c.Indirect():
-					for _, target := range p.TargetSets[c.Targets].Funcs {
-						visit(target)
-					}
-				case c.Prob > 0:
-					visit(c.Callee)
+					t.Errorf("%s: cold function %d (%s) is reachable from the entry", name, id, p.FuncName(isa.FuncID(id)))
 				}
 			}
 		}
@@ -59,6 +41,34 @@ func TestColdCodeUnreachable(t *testing.T) {
 		}
 		t.Logf("%s: %d of %d functions reachable", name, reached, p.NumFuncs())
 	}
+}
+
+// reachable marks the functions of p a run can reach from Entry:
+// through direct calls with Prob > 0 and every indirect target set.
+func reachable(p *program.Program) []bool {
+	seen := make([]bool, p.NumFuncs())
+	seen[p.Entry] = true
+	stack := []isa.FuncID{p.Entry}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range p.CallsOf(id) {
+			var next []isa.FuncID
+			switch {
+			case c.Indirect():
+				next = p.TargetSets[c.Targets].Funcs
+			case c.Prob > 0:
+				next = []isa.FuncID{c.Callee}
+			}
+			for _, n := range next {
+				if !seen[n] {
+					seen[n] = true
+					stack = append(stack, n)
+				}
+			}
+		}
+	}
+	return seen
 }
 
 // TestProgramFootprint guards what a program costs to keep: a function
@@ -89,6 +99,32 @@ func TestProgramFootprint(t *testing.T) {
 		}
 		if n, c := len(q.Calls), cap(q.Calls); n != c {
 			t.Errorf("%s: decoded call array has len %d, cap %d", name, n, c)
+		}
+	}
+}
+
+// TestPrunedFootprint: a built workload's program keeps its function
+// and call records in arrays with no spare capacity, so nothing holds
+// the whole program's storage alive, and the largest workload keeps at
+// most 15,000 of its 434,708 function records.
+func TestPrunedFootprint(t *testing.T) {
+	for _, name := range workloads.AllSorted() {
+		b, err := workloads.Build(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p := b.Loaded.Prog
+		if n, c := len(p.Funcs), cap(p.Funcs); n != c {
+			t.Errorf("%s: pruned function array has len %d, cap %d", name, n, c)
+		}
+		if n, c := len(p.Calls), cap(p.Calls); n != c {
+			t.Errorf("%s: pruned call array has len %d, cap %d", name, n, c)
+		}
+		if p.NumFuncs() >= p.TextFuncs() {
+			t.Errorf("%s: kept %d of %d function records", name, p.NumFuncs(), p.TextFuncs())
+		}
+		if name == "tidb-tpcc" && p.NumFuncs() > 15_000 {
+			t.Errorf("%s: kept %d function records, at most 15000 allowed", name, p.NumFuncs())
 		}
 	}
 }

@@ -9,10 +9,12 @@
 // following each benchmark driver.
 //
 // Build generates, links and loads a workload once per name and
-// memoises only the loaded program, so every experiment and job shares
-// one runnable program. The link-time products (the binary image, the
-// call graph and the Bundle analysis) become garbage once Build
-// returns; tools that want them call Link, which rebuilds them.
+// memoises only the loaded program, pruned to the functions a run can
+// reach, so every experiment and job shares one runnable program. The
+// link-time products (the binary image, the call graph, the Bundle
+// analysis and the unreachable cold and orphan records) become garbage
+// once Build returns; tools that want them call Link, which rebuilds
+// them.
 package workloads
 
 import (
@@ -313,8 +315,10 @@ func joinNames(names []string) string {
 }
 
 // Built is a generated, linked and loaded workload: what runs read. It
-// keeps no link-time state; Loaded.Segment gives back the .bundles
-// segment, and Link rebuilds the image, call graph and analysis.
+// keeps no link-time state, and its program keeps only the functions a
+// run can reach (program.Prune); Loaded.Segment gives back the .bundles
+// segment, and Link rebuilds the image, call graph, analysis and whole
+// program.
 type Built struct {
 	Workload Workload
 	Loaded   *loader.Loaded
@@ -389,8 +393,9 @@ func (f *flight) run(name string) {
 	f.built, f.err = build(name)
 }
 
-// build links and loads one workload, keeping only the loaded program.
-// It loads straight from the .bundles segment, with no binary image.
+// build links and loads one workload, keeping only the loaded program,
+// pruned to what a run can reach. It loads straight from the .bundles
+// segment, with no binary image.
 func build(name string) (*Built, error) {
 	w, p, err := generate(name)
 	if err != nil {
@@ -400,12 +405,16 @@ func build(name string) (*Built, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workloads %s: %w", name, err)
 	}
-	return &Built{Workload: w, Loaded: loader.LoadSegment(l.Prog, l.Segment)}, nil
+	ld := loader.LoadSegment(l.Prog, l.Segment)
+	if err := ld.Prog.Prune(); err != nil {
+		return nil, fmt.Errorf("workloads %s: %w", name, err)
+	}
+	return &Built{Workload: w, Loaded: ld}, nil
 }
 
 // Link generates and links a workload afresh, with no memoisation: the
-// binary image, call graph and Bundle analysis that Build discards, for
-// tools that inspect them. Its image's .bundles segment is the one
+// binary image, call graph, Bundle analysis and whole program that Build
+// discards, for tools that inspect them. Its image's .bundles segment is the one
 // Build loads.
 func Link(name string) (*linker.Linked, error) {
 	_, p, err := generate(name)

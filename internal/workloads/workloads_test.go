@@ -51,7 +51,7 @@ func TestBuildSmallPresetAndMemoise(t *testing.T) {
 		t.Error("no tagged instructions")
 	}
 	// Entry fraction in a plausible band around the paper's 2.3-6.1%.
-	frac := float64(len(a.Loaded.Entries)) / float64(a.Loaded.Prog.NumFuncs())
+	frac := float64(len(a.Loaded.Entries)) / float64(a.Loaded.Prog.TextFuncs())
 	if frac < 0.003 || frac > 0.15 {
 		t.Errorf("gin entry fraction %.4f outside plausible band", frac)
 	}
@@ -82,7 +82,7 @@ func TestMySQLVariantsShareBinaryShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Loaded.Prog.NumFuncs() != bb.Loaded.Prog.NumFuncs() {
+	if a.Loaded.Prog.TextFuncs() != bb.Loaded.Prog.TextFuncs() {
 		t.Error("mysql variants differ structurally")
 	}
 	wa, _ := Get("mysql-sysbench")
