@@ -1,7 +1,7 @@
 package hprefetch
 
-// One benchmark per table and figure of the paper's evaluation (§7).
-// Each bench regenerates its artifact through the harness and prints the
+// One sub-benchmark per table and figure of the paper's evaluation (§7).
+// Each regenerates its artifact through the harness and prints the
 // resulting table, so `go test -bench=. -benchmem` leaves a complete
 // paper-vs-measured record in its output. Results are memoised across
 // benchmarks within the process: the headline experiments share their
@@ -84,100 +84,29 @@ func meanSpeedupFromTable(t *harness.Table) (float64, bool) {
 	return 0, false
 }
 
-func BenchmarkFig1StageFootprints(b *testing.B) {
-	rc := benchSweep()
-	rc.Workloads = nil // Figure 1 is the TiDB pipeline
-	runExperiment(b, "fig1", func() (*harness.Table, error) { return harness.Fig1StageFootprints(rc) })
+// sweepIDs are the experiments that run the sweep configuration; the
+// rest run the full one.
+var sweepIDs = map[string]bool{
+	"fig1": true, "fig2a": true, "fig2b": true, "fig2c": true, "fig4": true, "fig13": true,
+	"fig14": true, "fig15a": true, "fig15b": true, "table3": true, "ablation": true,
 }
 
-func BenchmarkFig2aManaLookahead(b *testing.B) {
-	rc := benchSweep()
-	runExperiment(b, "fig2a", func() (*harness.Table, error) { return harness.Fig2aManaLookahead(rc, nil) })
-}
-
-func BenchmarkFig2bEFetchLookahead(b *testing.B) {
-	rc := benchSweep()
-	runExperiment(b, "fig2b", func() (*harness.Table, error) { return harness.Fig2bEFetchLookahead(rc, nil) })
-}
-
-func BenchmarkFig2cEIPDistance(b *testing.B) {
-	rc := benchSweep()
-	runExperiment(b, "fig2c", func() (*harness.Table, error) { return harness.Fig2cEIPDistance(rc) })
-}
-
-func BenchmarkFig3DistanceAccuracyCoverage(b *testing.B) {
-	rc := benchFull()
-	runExperiment(b, "fig3", func() (*harness.Table, error) { return harness.Fig3DistanceAccuracyCoverage(rc) })
-}
-
-func BenchmarkFig4TriggerSimilarity(b *testing.B) {
-	rc := benchSweep()
-	runExperiment(b, "fig4", func() (*harness.Table, error) { return harness.Fig4TriggerSimilarity(rc, nil) })
-}
-
-func BenchmarkFig9Speedup(b *testing.B) {
-	rc := benchFull()
-	runExperiment(b, "fig9", func() (*harness.Table, error) { return harness.Fig9Speedup(rc) })
-}
-
-func BenchmarkFig10LatePrefetches(b *testing.B) {
-	rc := benchFull()
-	runExperiment(b, "fig10", func() (*harness.Table, error) { return harness.Fig10LatePrefetches(rc) })
-}
-
-func BenchmarkFig11MissLatency(b *testing.B) {
-	rc := benchFull()
-	runExperiment(b, "fig11", func() (*harness.Table, error) { return harness.Fig11MissLatency(rc) })
-}
-
-func BenchmarkFig12LongRange(b *testing.B) {
-	rc := benchFull()
-	runExperiment(b, "fig12", func() (*harness.Table, error) { return harness.Fig12LongRange(rc) })
-}
-
-func BenchmarkFig13MetadataSensitivity(b *testing.B) {
-	rc := benchSweep()
-	runExperiment(b, "fig13", func() (*harness.Table, error) { return harness.Fig13MetadataSensitivity(rc, nil, nil) })
-}
-
-func BenchmarkFig14InfiniteBTB(b *testing.B) {
-	rc := benchSweep()
-	runExperiment(b, "fig14", func() (*harness.Table, error) { return harness.Fig14InfiniteBTB(rc) })
-}
-
-func BenchmarkFig15aFTQ(b *testing.B) {
-	rc := benchSweep()
-	runExperiment(b, "fig15a", func() (*harness.Table, error) { return harness.Fig15aFTQ(rc, nil) })
-}
-
-func BenchmarkFig15bITLB(b *testing.B) {
-	rc := benchSweep()
-	runExperiment(b, "fig15b", func() (*harness.Table, error) { return harness.Fig15bITLB(rc, nil) })
-}
-
-func BenchmarkFig16Bandwidth(b *testing.B) {
-	rc := benchFull()
-	runExperiment(b, "fig16", func() (*harness.Table, error) { return harness.Fig16Bandwidth(rc) })
-}
-
-func BenchmarkFig17L2Prefetch(b *testing.B) {
-	rc := benchFull()
-	runExperiment(b, "fig17", func() (*harness.Table, error) { return harness.Fig17L2Prefetch(rc) })
-}
-
-func BenchmarkTable2Summary(b *testing.B) {
-	rc := benchFull()
-	runExperiment(b, "table2", func() (*harness.Table, error) { return harness.Table2Summary(rc) })
-}
-
-func BenchmarkTable3L1ISweep(b *testing.B) {
-	rc := benchSweep()
-	runExperiment(b, "table3", func() (*harness.Table, error) { return harness.Table3L1ISweep(rc, nil) })
-}
-
-func BenchmarkTable4BundleStats(b *testing.B) {
-	rc := benchFull()
-	runExperiment(b, "table4", func() (*harness.Table, error) { return harness.Table4BundleStats(rc) })
+// BenchmarkExperiments regenerates every table and figure of the
+// evaluation, and the design-choice ablations DESIGN.md calls out, one
+// sub-benchmark per experiment id.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range append(harness.PaperExperimentIDs(), "ablation") {
+		rc := benchFull()
+		if sweepIDs[id] {
+			rc = benchSweep()
+		}
+		if id == "fig1" {
+			rc.Workloads = nil // Figure 1 is the TiDB pipeline
+		}
+		b.Run(id, func(b *testing.B) {
+			runExperiment(b, id, func() (*harness.Table, error) { return harness.Experiment(id, rc) })
+		})
+	}
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed (the whole
@@ -238,11 +167,4 @@ func BenchmarkReplayVsLive(b *testing.B) {
 func TestMain(m *testing.M) {
 	fmt.Println("hprefetch reproduction bench suite — simulated machine per Table 1 of the paper")
 	os.Exit(m.Run())
-}
-
-// BenchmarkAblations exercises the design-choice ablations DESIGN.md
-// calls out: record-latest vs record-once, pacing on vs off.
-func BenchmarkAblations(b *testing.B) {
-	rc := benchSweep()
-	runExperiment(b, "ablation", func() (*harness.Table, error) { return harness.Ablations(rc) })
 }

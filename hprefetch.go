@@ -162,7 +162,7 @@ func RunAllExperiments(opt *Options) ([]*Table, error) {
 	if p > 1 {
 		harness.DefaultRunner().Warm(rc, p)
 	}
-	return harness.AllExperimentsParallel(rc, p)
+	return harness.Experiments(harness.PaperExperimentIDs(), rc, p)
 }
 
 // RunSweep runs a workload × scheme IPC sweep locally, single-node.

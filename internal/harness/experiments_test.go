@@ -85,3 +85,47 @@ func TestExperimentDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestDeclaredTablesFailOnFailedRun: a declared table's MEAN is over
+// every workload, so one failed run fails the table rather than leaving
+// its workload out of the mean.
+func TestDeclaredTablesFailOnFailedRun(t *testing.T) {
+	rc := quick()
+	rc.Workloads = []string{"gin", "no-such-workload"}
+	for _, e := range experiments {
+		if _, ok := e.gen.(*decl); !ok {
+			continue
+		}
+		if tbl, err := Experiment(e.id, rc); err == nil {
+			t.Errorf("%s: no error with an unknown workload; table:\n%s", e.id, tbl)
+		}
+	}
+}
+
+// TestPaperNumbersNameColumns: every number a declaration quotes from
+// the paper belongs to a scheme its table shows.
+func TestPaperNumbersNameColumns(t *testing.T) {
+	for _, e := range experiments {
+		d, ok := e.gen.(*decl)
+		if !ok {
+			continue
+		}
+		shown := map[Scheme]bool{}
+		for _, v := range d.variants {
+			shown[v.scheme] = true
+		}
+		for _, m := range d.metrics {
+			if m.paper == nil {
+				continue
+			}
+			if d.shape == sweep {
+				t.Errorf("%s: %q quotes paper numbers, but a sweep's notes do not draw them", e.id, m.name)
+			}
+			for _, pv := range m.paper.values {
+				if !shown[pv.scheme] {
+					t.Errorf("%s: paper number %v names %s, which is not a column", e.id, pv.v, pv.scheme)
+				}
+			}
+		}
+	}
+}

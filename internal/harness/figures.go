@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"hprefetch/internal/core"
 	"hprefetch/internal/isa"
@@ -12,13 +13,13 @@ import (
 	"hprefetch/internal/xrand"
 )
 
-// Fig1StageFootprints reproduces Figure 1: the TiDB request pipeline and
+// fig1StageFootprints reproduces Figure 1: the TiDB request pipeline and
 // the average instruction footprint (touched cache blocks) of each stage
 // during TPC-C-like execution. Like runOne, it honours rc.TracePath /
 // rc.TraceDir: the stage view computed from a recorded trace is
 // identical to the live one, because stage attribution rides in the
 // trace alongside the events.
-func Fig1StageFootprints(rc RunConfig) (*Table, error) {
+func fig1StageFootprints(rc RunConfig) (*Table, error) {
 	name := "tidb-tpcc"
 	if len(rc.Workloads) == 1 {
 		name = rc.Workloads[0]
@@ -33,15 +34,9 @@ func Fig1StageFootprints(rc RunConfig) (*Table, error) {
 		tracePath = tracePathFor(rc.TraceDir, name)
 	}
 	if tracePath != "" {
-		tr, err := loadTrace(tracePath)
-		if err != nil {
-			return nil, err
+		if eng, err = replayTrace(tracePath, name, built); err != nil {
+			return nil, fmt.Errorf("harness: figure 1: %w", err)
 		}
-		if tm := tr.Meta(); tm.Workload != name || tm.Seed != built.Workload.TraceSeed {
-			return nil, fmt.Errorf("harness: trace %s was recorded from workload %q seed %d, want %q seed %d",
-				tracePath, tm.Workload, tm.Seed, name, built.Workload.TraceSeed)
-		}
-		eng = tr.Replay()
 	}
 	prog := built.Loaded.Prog
 	nStages := len(prog.Stages)
@@ -103,55 +98,42 @@ func Fig1StageFootprints(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-// Fig2aManaLookahead reproduces Figure 2a: MANA accuracy and miss
-// reduction as its look-ahead (spatial regions) grows.
-func Fig2aManaLookahead(rc RunConfig, lookaheads []int) (*Table, error) {
-	if len(lookaheads) == 0 {
-		lookaheads = []int{1, 2, 3, 4, 6, 8, 12, 16}
-	}
-	t := &Table{
-		ID:     "Figure 2a",
-		Title:  "MANA look-ahead (spatial regions) vs accuracy and covered misses",
-		Header: []string{"look-ahead", "accuracy", "coverage", "speedup", "avg distance"},
-	}
-	for _, la := range lookaheads {
-		sub := rc
-		sub.ManaLookahead = la
-		accs, covs, spds, dists := collect(sub, SchemeMANA)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(la), pct(mean(accs)), pct(mean(covs)), spd(mean(spds)), f1(mean(dists)),
-		})
-	}
-	t.Notes = append(t.Notes, "paper: accuracy declines with look-ahead; coverage saturates past 4 regions")
-	return t, nil
+// fig2a reproduces Figure 2a: MANA accuracy and miss reduction as its
+// look-ahead (spatial regions) grows.
+var fig2a = &decl{
+	id:    "Figure 2a",
+	title: "MANA look-ahead (spatial regions) vs accuracy and covered misses",
+	base:  baselineConfig,
+	variants: values(SchemeMANA, nil, []int{1, 2, 3, 4, 6, 8, 12, 16}, "",
+		func(rc *RunConfig, la int) { rc.ManaLookahead = la }),
+	labels:  []string{"look-ahead"},
+	metrics: lookaheadMetrics,
+	notes:   []string{"paper: accuracy declines with look-ahead; coverage saturates past 4 regions"},
 }
 
-// Fig2bEFetchLookahead reproduces Figure 2b for EFetch (callee chain
-// depth).
-func Fig2bEFetchLookahead(rc RunConfig, lookaheads []int) (*Table, error) {
-	if len(lookaheads) == 0 {
-		lookaheads = []int{1, 2, 3, 5, 7, 10, 16}
-	}
-	t := &Table{
-		ID:     "Figure 2b",
-		Title:  "EFetch look-ahead (callees) vs accuracy and covered misses",
-		Header: []string{"look-ahead", "accuracy", "coverage", "speedup", "avg distance"},
-	}
-	for _, la := range lookaheads {
-		sub := rc
-		sub.EFetchLookahead = la
-		accs, covs, spds, dists := collect(sub, SchemeEFetch)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(la), pct(mean(accs)), pct(mean(covs)), spd(mean(spds)), f1(mean(dists)),
-		})
-	}
-	t.Notes = append(t.Notes, "paper: coverage fails to improve past ~7 callees")
-	return t, nil
+// fig2b reproduces Figure 2b for EFetch (callee chain depth).
+var fig2b = &decl{
+	id:    "Figure 2b",
+	title: "EFetch look-ahead (callees) vs accuracy and covered misses",
+	base:  baselineConfig,
+	variants: values(SchemeEFetch, nil, []int{1, 2, 3, 5, 7, 10, 16}, "",
+		func(rc *RunConfig, la int) { rc.EFetchLookahead = la }),
+	labels:  []string{"look-ahead"},
+	metrics: lookaheadMetrics,
+	notes:   []string{"paper: coverage fails to improve past ~7 callees"},
 }
 
-// Fig2cEIPDistance reproduces Figure 2c: EIP accuracy bucketed by
+// lookaheadMetrics are Figure 2a and 2b's columns.
+var lookaheadMetrics = []metric{
+	{name: "accuracy", of: accuracy, cell: pct},
+	{name: "coverage", of: coverageL1, cell: pct},
+	{name: "speedup", of: speedup, cell: spd},
+	{name: "avg distance", of: avgDistance, cell: f1},
+}
+
+// fig2cEIPDistance reproduces Figure 2c: EIP accuracy bucketed by
 // prefetch distance.
-func Fig2cEIPDistance(rc RunConfig) (*Table, error) {
+func fig2cEIPDistance(rc RunConfig) (*Table, error) {
 	t := &Table{
 		ID:     "Figure 2c",
 		Title:  "EIP accuracy by prefetch distance (cache blocks)",
@@ -186,53 +168,29 @@ func Fig2cEIPDistance(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-// collect runs a scheme over all configured workloads and gathers
-// accuracy, L1 coverage, speedup, and average distance.
-func collect(rc RunConfig, s Scheme) (accs, covs, spds, dists []float64) {
-	for _, w := range rc.workloadList() {
-		r, err := Run(w, s, rc)
-		if err != nil {
-			continue
-		}
-		sp, err := Speedup(w, s, rc)
-		if err != nil {
-			continue
-		}
-		accs = append(accs, r.Stats.PFAccuracy())
-		covs = append(covs, r.Stats.PFCoverageL1())
-		spds = append(spds, sp)
-		dists = append(dists, r.Stats.PFAvgDistance())
-	}
-	return
+// fig3 reproduces Figure 3: accuracy and coverage of the three
+// fine-grained prefetchers against their average prefetch distance.
+var fig3 = &decl{
+	id:       "Figure 3",
+	title:    "Accuracy and coverage vs average prefetch distance",
+	variants: schemes(SchemeEFetch, SchemeMANA, SchemeEIP),
+	labels:   []string{"scheme"},
+	metrics: []metric{
+		{name: "avg distance (blocks)", of: avgDistance, cell: f1},
+		{name: "accuracy", of: accuracy, cell: pct},
+		{name: "coverage", of: coverageL1, cell: pct},
+	},
+	notes: []string{"paper: accuracy inversely correlates with distance; coverage grows with it"},
 }
 
-// Fig3DistanceAccuracyCoverage reproduces Figure 3: accuracy and
-// coverage of the three fine-grained prefetchers against their average
-// prefetch distance.
-func Fig3DistanceAccuracyCoverage(rc RunConfig) (*Table, error) {
-	t := &Table{
-		ID:     "Figure 3",
-		Title:  "Accuracy and coverage vs average prefetch distance",
-		Header: []string{"scheme", "avg distance (blocks)", "accuracy", "coverage"},
-	}
-	for _, s := range []Scheme{SchemeEFetch, SchemeMANA, SchemeEIP} {
-		accs, covs, _, dists := collect(rc, s)
-		t.Rows = append(t.Rows, []string{string(s), f1(mean(dists)), pct(mean(accs)), pct(mean(covs))})
-	}
-	t.Notes = append(t.Notes, "paper: accuracy inversely correlates with distance; coverage grows with it")
-	return t, nil
-}
-
-// Fig4TriggerSimilarity reproduces Figure 4: the Jaccard similarity of
+// fig4TriggerSimilarity reproduces Figure 4: the Jaccard similarity of
 // instruction footprints following successive occurrences of the same
 // trigger, as the footprint window grows — computed directly on the
 // retired stream for each trigger style (EIP: block address; MANA:
 // spatial-region base; EFetch: call-stack signature) plus, for contrast,
 // the paper's Bundle entries.
-func Fig4TriggerSimilarity(rc RunConfig, windows []int) (*Table, error) {
-	if len(windows) == 0 {
-		windows = []int{16, 64, 256, 512}
-	}
+func fig4TriggerSimilarity(rc RunConfig) (*Table, error) {
+	windows := []int{16, 64, 256, 512}
 	names := rc.workloadList()
 	kinds := []string{"EIP (block)", "MANA (region)", "EFetch (signature)", "Bundle (tagged entry)"}
 	sums := make([][]float64, len(kinds))
@@ -258,7 +216,10 @@ func Fig4TriggerSimilarity(rc RunConfig, windows []int) (*Table, error) {
 	t := &Table{
 		ID:     "Figure 4",
 		Title:  "Footprint similarity (Jaccard) after repeated occurrences of the same trigger",
-		Header: append([]string{"trigger"}, mapStrings(windows)...),
+		Header: []string{"trigger"},
+	}
+	for _, w := range windows {
+		t.Header = append(t.Header, fmt.Sprintf("w=%d", w))
 	}
 	for k, kind := range kinds {
 		row := []string{kind}
@@ -273,14 +234,6 @@ func Fig4TriggerSimilarity(rc RunConfig, windows []int) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "paper: fine-grained triggers drop below 0.5 by 64 blocks; Bundles stay high")
 	return t, nil
-}
-
-func mapStrings(ws []int) []string {
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = fmt.Sprintf("w=%d", w)
-	}
-	return out
 }
 
 type simResult struct {
@@ -315,7 +268,6 @@ func triggerSimilarity(workload string, rc RunConfig, windows []int) (*simResult
 	keys := make([]map[uint64]int, kinds) // trigger key -> slot
 	occs := make([]map[uint64]int, kinds)
 	for k := 0; k < kinds; k++ {
-		states[k] = nil
 		keys[k] = make(map[uint64]int, maxTriggers)
 		occs[k] = make(map[uint64]int, maxTriggers)
 	}
@@ -437,29 +389,11 @@ func triggerSimilarity(workload string, rc RunConfig, windows []int) (*simResult
 	return out, nil
 }
 
+// uniqueSorted returns the distinct blocks of bs in ascending order.
 func uniqueSorted(bs []isa.Block) []isa.Block {
-	out := append([]isa.Block(nil), bs...)
-	sortBlocks(out)
-	j := 0
-	for i := 0; i < len(out); i++ {
-		if j == 0 || out[i] != out[j-1] {
-			out[j] = out[i]
-			j++
-		}
-	}
-	return out[:j]
-}
-
-func sortBlocks(bs []isa.Block) {
-	// Insertion sort is fine for the window sizes used here? Windows go
-	// to 512 entries; use a simple quicksort via sort-less shell sort.
-	for gap := len(bs) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(bs); i++ {
-			for j := i; j >= gap && bs[j] < bs[j-gap]; j -= gap {
-				bs[j], bs[j-gap] = bs[j-gap], bs[j]
-			}
-		}
-	}
+	out := slices.Clone(bs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // jaccard computes |A∩B| / |A∪B| over sorted unique slices.
@@ -484,280 +418,153 @@ func jaccard(a, b []isa.Block) float64 {
 	return float64(inter) / float64(union)
 }
 
-// Fig9Speedup reproduces Figure 9: IPC speedup over FDIP per workload
-// for every scheme, plus the Perfect-L1I bound.
-func Fig9Speedup(rc RunConfig) (*Table, error) {
-	schemes := append(Schemes()[1:], SchemePerfect)
-	t := &Table{
-		ID:     "Figure 9",
-		Title:  "IPC speedup over the FDIP baseline",
-		Header: append([]string{"workload", "FDIP IPC"}, schemeNames(schemes)...),
-	}
-	sums := make([]float64, len(schemes))
-	names := rc.workloadList()
-	for _, w := range names {
-		base, err := Run(w, SchemeFDIP, rc)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{w, f3(base.Stats.IPC())}
-		for i, s := range schemes {
-			sp, err := Speedup(w, s, rc)
-			if err != nil {
-				return nil, err
-			}
-			sums[i] += sp
-			row = append(row, spd(sp))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	meanRow := []string{"MEAN", ""}
-	for i := range schemes {
-		meanRow = append(meanRow, spd(sums[i]/float64(len(names))))
-	}
-	t.Rows = append(t.Rows, meanRow)
-	t.Notes = append(t.Notes,
-		"paper means: EFetch +1.4%, MANA +1.6%, EIP +4.0%, Hierarchical +6.6%, Perfect +16.8%")
-	return t, nil
+// fig9 reproduces Figure 9: IPC speedup over FDIP per workload for
+// every scheme, plus the Perfect-L1I bound.
+var fig9 = &decl{
+	id:       "Figure 9",
+	title:    "IPC speedup over the FDIP baseline",
+	shape:    grid,
+	base:     baselineConfig,
+	variants: schemes(SchemeEFetch, SchemeMANA, SchemeEIP, SchemeHier, SchemePerfect),
+	lead:     &metric{name: "FDIP IPC", of: baseIPC, cell: f3},
+	metrics: []metric{{of: speedup, cell: spd, paper: &paperRow{cell: spd, values: []paperValue{
+		{SchemeEFetch, 0.014}, {SchemeMANA, 0.016}, {SchemeEIP, 0.040}, {SchemeHier, 0.066}, {SchemePerfect, 0.168},
+	}}}},
 }
 
-// Fig10LatePrefetches reproduces Figure 10: the share of each scheme's
-// prefetches that arrive late (demand hits an in-flight fill).
-func Fig10LatePrefetches(rc RunConfig) (*Table, error) {
-	schemes := Schemes()[1:]
-	t := &Table{
-		ID:     "Figure 10",
-		Title:  "Late prefetches (demand hits in the MSHRs) as a share of useful+late",
-		Header: append([]string{"workload"}, schemeNames(schemes)...),
-	}
-	sums := make([]float64, len(schemes))
-	names := rc.workloadList()
-	for _, w := range names {
-		row := []string{w}
-		for i, s := range schemes {
-			r, err := Run(w, s, rc)
-			if err != nil {
-				return nil, err
-			}
-			v := r.Stats.PFLateFraction()
-			sums[i] += v
-			row = append(row, pct(v))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	meanRow := []string{"MEAN"}
-	for i := range schemes {
-		meanRow = append(meanRow, pct(sums[i]/float64(len(names))))
-	}
-	t.Rows = append(t.Rows, meanRow)
-	t.Notes = append(t.Notes, "paper means: EFetch 29%, MANA 13%, EIP 7%, Hierarchical 3%")
-	return t, nil
+// fig14 reproduces Figure 14: Figure 9 when FDIP enjoys an infinite BTB.
+var fig14 = &decl{
+	id:       "Figure 14",
+	title:    "IPC speedup over FDIP with an infinite BTB",
+	shape:    grid,
+	setup:    func(rc *RunConfig) { rc.Params.BP.BTBInfinite = true },
+	base:     fig9.base,
+	variants: fig9.variants,
+	lead:     fig9.lead,
+	metrics: []metric{{of: speedup, cell: spd, paper: &paperRow{cell: spd, values: []paperValue{
+		{SchemeEFetch, 0.003}, {SchemeMANA, 0.001}, {SchemeEIP, 0.009}, {SchemeHier, 0.042},
+	}}}},
 }
 
-// Fig11MissLatency reproduces Figure 11: total demand instruction miss
-// latency (clean miss latency plus late-fill residuals) per scheme,
-// normalised to FDIP.
-func Fig11MissLatency(rc RunConfig) (*Table, error) {
-	schemes := Schemes()
-	t := &Table{
-		ID:     "Figure 11",
-		Title:  "Demand instruction miss latency relative to FDIP (late residual + clean miss)",
-		Header: append([]string{"workload"}, schemeNames(schemes)...),
-	}
-	names := rc.workloadList()
-	sums := make([]float64, len(schemes))
-	for _, w := range names {
-		base, err := Run(w, SchemeFDIP, rc)
-		if err != nil {
-			return nil, err
-		}
-		baseLat := base.Stats.TotalMissLatencyCycles()
-		row := []string{w}
-		for i, s := range schemes {
-			r, err := Run(w, s, rc)
-			if err != nil {
-				return nil, err
-			}
-			rel := 1.0
-			if baseLat > 0 {
-				rel = r.Stats.TotalMissLatencyCycles() / baseLat
-			}
-			sums[i] += rel
-			row = append(row, pct(rel))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	meanRow := []string{"MEAN"}
-	for i := range schemes {
-		meanRow = append(meanRow, pct(sums[i]/float64(len(names))))
-	}
-	t.Rows = append(t.Rows, meanRow)
-	t.Notes = append(t.Notes, "paper: Hierarchical reduces total miss latency by 38.7%; best prior 19.7%")
-	return t, nil
+// fig10 reproduces Figure 10: the share of each scheme's prefetches
+// that arrive late (demand hits an in-flight fill).
+var fig10 = &decl{
+	id:       "Figure 10",
+	title:    "Late prefetches (demand hits in the MSHRs) as a share of useful+late",
+	shape:    grid,
+	variants: schemes(SchemeEFetch, SchemeMANA, SchemeEIP, SchemeHier),
+	metrics: []metric{{
+		of:   func(run, _ *sim.Stats) float64 { return run.PFLateFraction() },
+		cell: pct,
+		paper: &paperRow{cell: wholePct, values: []paperValue{
+			{SchemeEFetch, 0.29}, {SchemeMANA, 0.13}, {SchemeEIP, 0.07}, {SchemeHier, 0.03},
+		}},
+	}},
 }
 
-// Fig12LongRange reproduces Figure 12: elimination of long-range misses
-// (those served beyond the L2 — the top of the reuse-distance
-// distribution) relative to the FDIP baseline.
-func Fig12LongRange(rc RunConfig) (*Table, error) {
-	schemes := Schemes()[1:]
-	t := &Table{
-		ID:     "Figure 12",
-		Title:  "Long-range (beyond-L2) instruction misses eliminated vs FDIP",
-		Header: append([]string{"workload"}, schemeNames(schemes)...),
-	}
-	longRange := func(st *sim.Stats) float64 {
-		return float64(st.LateFDIPByLevel[3] + st.LateFDIPByLevel[4] +
-			st.LatePFByLevel[3] + st.LatePFByLevel[4] +
-			st.ServedLLC + st.ServedMem)
-	}
-	names := rc.workloadList()
-	sums := make([]float64, len(schemes))
-	for _, w := range names {
-		base, err := Run(w, SchemeFDIP, rc)
-		if err != nil {
-			return nil, err
-		}
-		b := longRange(base.Stats)
-		row := []string{w}
-		for i, s := range schemes {
-			r, err := Run(w, s, rc)
-			if err != nil {
-				return nil, err
+// fig11 reproduces Figure 11: total demand instruction miss latency
+// (clean miss latency plus late-fill residuals) per scheme, normalised
+// to FDIP.
+var fig11 = &decl{
+	id:       "Figure 11",
+	title:    "Demand instruction miss latency relative to FDIP (late residual + clean miss)",
+	shape:    grid,
+	base:     sameConfig,
+	variants: schemes(Schemes()...),
+	metrics: []metric{{
+		of: func(run, base *sim.Stats) float64 {
+			if b := base.TotalMissLatencyCycles(); b > 0 {
+				return run.TotalMissLatencyCycles() / b
 			}
-			elim := 0.0
-			if b > 0 {
-				elim = 1 - longRange(r.Stats)/b
-			}
-			sums[i] += elim
-			row = append(row, pct(elim))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	meanRow := []string{"MEAN"}
-	for i := range schemes {
-		meanRow = append(meanRow, pct(sums[i]/float64(len(names))))
-	}
-	t.Rows = append(t.Rows, meanRow)
-	t.Notes = append(t.Notes, "paper means: Hierarchical 53%, EIP 21%, MANA 11%, EFetch 7%")
-	return t, nil
+			return 1
+		},
+		cell: pct,
+	}},
+	notes: []string{"paper: Hierarchical reduces total miss latency by 38.7%; best prior 19.7%"},
 }
 
-// Fig13MetadataSensitivity reproduces Figure 13: mean speedup under
-// varying Metadata Address Table and Metadata Buffer sizes.
-func Fig13MetadataSensitivity(rc RunConfig, matSizes []int, bufKBs []int) (*Table, error) {
-	if len(matSizes) == 0 {
-		matSizes = []int{64, 128, 256, 512, 1024, 4096}
-	}
-	if len(bufKBs) == 0 {
-		bufKBs = []int{64, 128, 256, 512, 1024, 4096}
-	}
-	t := &Table{
-		ID:     "Figure 13",
-		Title:  "Hierarchical speedup sensitivity to metadata sizing",
-		Header: []string{"parameter", "value", "mean speedup"},
-	}
-	for _, ms := range matSizes {
-		cfg := core.DefaultConfig()
-		cfg.MATEntries = ms
-		sub := rc
-		sub.HierConfig = &cfg
-		_, _, spds, _ := collect(sub, SchemeHier)
-		t.Rows = append(t.Rows, []string{"MAT entries", fmt.Sprint(ms), spd(mean(spds))})
-	}
-	for _, kb := range bufKBs {
-		cfg := core.DefaultConfig()
-		cfg.MetadataKB = kb
-		sub := rc
-		sub.HierConfig = &cfg
-		_, _, spds, _ := collect(sub, SchemeHier)
-		t.Rows = append(t.Rows, []string{"Metadata buffer KB", fmt.Sprint(kb), spd(mean(spds))})
-	}
-	t.Notes = append(t.Notes, "paper: gains saturate at 512 entries / 512KB — the chosen configuration")
-	return t, nil
-}
-
-// Fig14InfiniteBTB reproduces Figure 14: speedups when FDIP enjoys an
-// infinite BTB.
-func Fig14InfiniteBTB(rc RunConfig) (*Table, error) {
-	rc.Params.BP.BTBInfinite = true
-	t, err := Fig9Speedup(rc)
-	if err != nil {
-		return nil, err
-	}
-	t.ID = "Figure 14"
-	t.Title = "IPC speedup over FDIP with an infinite BTB"
-	t.Notes = []string{"paper means: EFetch +0.3%, MANA +0.1%, EIP +0.9%, Hierarchical +4.2%"}
-	return t, nil
-}
-
-// Fig15aFTQ reproduces Figure 15a: baseline FDIP IPC across FTQ sizes.
-func Fig15aFTQ(rc RunConfig, sizes []int) (*Table, error) {
-	if len(sizes) == 0 {
-		sizes = []int{8, 16, 24, 32, 48, 64}
-	}
-	t := &Table{
-		ID:     "Figure 15a",
-		Title:  "FDIP IPC as a function of FTQ size",
-		Header: []string{"FTQ entries", "mean IPC"},
-	}
-	for _, n := range sizes {
-		sub := rc
-		sub.Params.FTQEntries = n
-		var ipcs []float64
-		for _, w := range sub.workloadList() {
-			r, err := Run(w, SchemeFDIP, sub)
-			if err != nil {
-				return nil, err
+// fig12 reproduces Figure 12: elimination of long-range misses (those
+// served beyond the L2, the top of the reuse-distance distribution)
+// relative to the FDIP baseline.
+var fig12 = &decl{
+	id:       "Figure 12",
+	title:    "Long-range (beyond-L2) instruction misses eliminated vs FDIP",
+	shape:    grid,
+	base:     sameConfig,
+	variants: schemes(SchemeEFetch, SchemeMANA, SchemeEIP, SchemeHier),
+	metrics: []metric{{
+		of: func(run, base *sim.Stats) float64 {
+			if b := longRange(base); b > 0 {
+				return 1 - longRange(run)/b
 			}
-			ipcs = append(ipcs, r.Stats.IPC())
-		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(n), f3(mean(ipcs))})
-	}
-	t.Notes = append(t.Notes, "paper: best at 24 entries, deeper FTQs slightly counter-productive")
-	return t, nil
+			return 0
+		},
+		cell: pct,
+		paper: &paperRow{cell: wholePct, values: []paperValue{
+			{SchemeHier, 0.53}, {SchemeEIP, 0.21}, {SchemeMANA, 0.11}, {SchemeEFetch, 0.07},
+		}},
+	}},
 }
 
-// Fig15bITLB reproduces Figure 15b: baseline and Hierarchical IPC across
-// I-TLB sizes.
-func Fig15bITLB(rc RunConfig, sizes []int) (*Table, error) {
-	if len(sizes) == 0 {
-		sizes = []int{64, 128, 256, 512, 1024}
-	}
-	t := &Table{
-		ID:     "Figure 15b",
-		Title:  "IPC as a function of I-TLB entries",
-		Header: []string{"I-TLB entries", "FDIP IPC", "Hierarchical IPC", "speedup"},
-	}
-	for _, n := range sizes {
-		sub := rc
-		sub.Params.ITLBEntries = n
-		var baseIPC, hierIPC []float64
-		for _, w := range sub.workloadList() {
-			b, err := Run(w, SchemeFDIP, sub)
-			if err != nil {
-				return nil, err
-			}
-			h, err := Run(w, SchemeHier, sub)
-			if err != nil {
-				return nil, err
-			}
-			baseIPC = append(baseIPC, b.Stats.IPC())
-			hierIPC = append(hierIPC, h.Stats.IPC())
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n), f3(mean(baseIPC)), f3(mean(hierIPC)),
-			spd(mean(hierIPC)/mean(baseIPC) - 1),
-		})
-	}
-	t.Notes = append(t.Notes, "paper: both improve with I-TLB size; Hierarchical holds its edge throughout")
-	return t, nil
+// longRange counts the misses Figure 12 calls long-range: demand and
+// late fills served by the LLC or memory.
+func longRange(st *sim.Stats) float64 {
+	return float64(st.LateFDIPByLevel[3] + st.LateFDIPByLevel[4] +
+		st.LatePFByLevel[3] + st.LatePFByLevel[4] +
+		st.ServedLLC + st.ServedMem)
 }
 
-// Fig16Bandwidth reproduces Figure 16: memory bandwidth relative to the
+// fig13 reproduces Figure 13: mean speedup under varying Metadata
+// Address Table and Metadata Buffer sizes.
+var fig13 = &decl{
+	id:    "Figure 13",
+	title: "Hierarchical speedup sensitivity to metadata sizing",
+	base:  baselineConfig,
+	variants: append(
+		values(SchemeHier, []string{"MAT entries"}, []int{64, 128, 256, 512, 1024, 4096}, "",
+			func(rc *RunConfig, n int) { hierConfig(func(c *core.Config) { c.MATEntries = n })(rc) }),
+		values(SchemeHier, []string{"Metadata buffer KB"}, []int{64, 128, 256, 512, 1024, 4096}, "",
+			func(rc *RunConfig, kb int) { hierConfig(func(c *core.Config) { c.MetadataKB = kb })(rc) })...),
+	labels:  []string{"parameter", "value"},
+	metrics: []metric{{name: "mean speedup", of: speedup, cell: spd}},
+	notes:   []string{"paper: gains saturate at 512 entries / 512KB — the chosen configuration"},
+}
+
+// fig15a reproduces Figure 15a: baseline FDIP IPC across FTQ sizes.
+var fig15a = &decl{
+	id:    "Figure 15a",
+	title: "FDIP IPC as a function of FTQ size",
+	variants: values(SchemeFDIP, nil, []int{8, 16, 24, 32, 48, 64}, "",
+		func(rc *RunConfig, n int) { rc.Params.FTQEntries = n }),
+	labels:  []string{"FTQ entries"},
+	metrics: []metric{{name: "mean IPC", of: ipc, cell: f3}},
+	notes:   []string{"paper: best at 24 entries, deeper FTQs slightly counter-productive"},
+}
+
+// fig15b reproduces Figure 15b: baseline and Hierarchical IPC across
+// I-TLB sizes. Its speedup is the ratio of the mean IPCs.
+var fig15b = &decl{
+	id:    "Figure 15b",
+	title: "IPC as a function of I-TLB entries",
+	base:  sameConfig,
+	variants: values(SchemeHier, nil, []int{64, 128, 256, 512, 1024}, "",
+		func(rc *RunConfig, n int) { rc.Params.ITLBEntries = n }),
+	labels: []string{"I-TLB entries"},
+	metrics: []metric{
+		{name: "FDIP IPC", of: baseIPC, cell: f3},
+		{name: "Hierarchical IPC", of: ipc, cell: f3},
+		{name: "speedup", cell: spd, fold: func(runs, bases []*sim.Stats) float64 {
+			fdip, hier := metric{of: baseIPC}, metric{of: ipc}
+			return hier.over(runs, bases)/fdip.over(runs, bases) - 1
+		}},
+	},
+	notes: []string{"paper: both improve with I-TLB size; Hierarchical holds its edge throughout"},
+}
+
+// fig16Bandwidth reproduces Figure 16: memory bandwidth relative to the
 // baseline, including the data side (modelled as a constant stream) and
 // metadata traffic.
-func Fig16Bandwidth(rc RunConfig) (*Table, error) {
+func fig16Bandwidth(rc RunConfig) (*Table, error) {
 	t := &Table{
 		ID:     "Figure 16",
 		Title:  "Memory bandwidth with Hierarchical Prefetching, normalised to FDIP",
@@ -786,10 +593,7 @@ func Fig16Bandwidth(rc RunConfig) (*Table, error) {
 		extra := hpBlocks - baseBlocks
 		overShare, metaShare := 0.0, 0.0
 		if extra > 0 {
-			metaShare = float64(hp.Stats.MemBlocksMeta) / extra
-			if metaShare > 1 {
-				metaShare = 1
-			}
+			metaShare = min(float64(hp.Stats.MemBlocksMeta)/extra, 1)
 			overShare = 1 - metaShare
 		}
 		t.Rows = append(t.Rows, []string{w, pct(rel), pct(overShare), pct(metaShare)})
@@ -799,40 +603,17 @@ func Fig16Bandwidth(rc RunConfig) (*Table, error) {
 	return t, nil
 }
 
-// Fig17L2Prefetch reproduces Figure 17: Hierarchical Prefetching aimed
-// at the L2 instead of the L1-I.
-func Fig17L2Prefetch(rc RunConfig) (*Table, error) {
-	t := &Table{
-		ID:     "Figure 17",
-		Title:  "Speedup when Hierarchical prefetches into the L2",
-		Header: []string{"workload", "to L1-I", "to L2"},
-	}
-	l2rc := rc
-	l2rc.Params.PrefetchToL2 = true
-	names := rc.workloadList()
-	var l1s, l2s []float64
-	for _, w := range names {
-		s1, err := Speedup(w, SchemeHier, rc)
-		if err != nil {
-			return nil, err
-		}
-		s2, err := Speedup(w, SchemeHier, l2rc)
-		if err != nil {
-			return nil, err
-		}
-		l1s = append(l1s, s1)
-		l2s = append(l2s, s2)
-		t.Rows = append(t.Rows, []string{w, spd(s1), spd(s2)})
-	}
-	t.Rows = append(t.Rows, []string{"MEAN", spd(mean(l1s)), spd(mean(l2s))})
-	t.Notes = append(t.Notes, "paper: L2-directed keeps most of the benefit (5.8% vs 6.6%)")
-	return t, nil
-}
-
-func schemeNames(ss []Scheme) []string {
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = string(s)
-	}
-	return out
+// fig17 reproduces Figure 17: Hierarchical Prefetching aimed at the L2
+// instead of the L1-I.
+var fig17 = &decl{
+	id:    "Figure 17",
+	title: "Speedup when Hierarchical prefetches into the L2",
+	shape: grid,
+	base:  baselineConfig,
+	variants: []variant{
+		{label: []string{"to L1-I"}, scheme: SchemeHier},
+		{label: []string{"to L2"}, scheme: SchemeHier, set: func(rc *RunConfig) { rc.Params.PrefetchToL2 = true }},
+	},
+	metrics: []metric{{of: speedup, cell: spd}},
+	notes:   []string{"paper: L2-directed keeps most of the benefit (5.8% vs 6.6%)"},
 }

@@ -289,6 +289,20 @@ func tracePathFor(dir, workload string) string {
 	return ""
 }
 
+// replayTrace opens the trace at path as the event source of workload's
+// run, refusing one recorded from another workload or engine seed.
+func replayTrace(path, workload string, built *workloads.Built) (*tracefile.MemReader, error) {
+	tr, err := loadTrace(path)
+	if err != nil {
+		return nil, err
+	}
+	if tm := tr.Meta(); tm.Workload != workload || tm.Seed != built.Workload.TraceSeed {
+		return nil, fmt.Errorf("trace %s was recorded from workload %q seed %d, want %q seed %d",
+			path, tm.Workload, tm.Seed, workload, built.Workload.TraceSeed)
+	}
+	return tr.Replay(), nil
+}
+
 // sourceErr extracts a finite event source's terminal error, treating a
 // clean end of stream (tracefile.ErrExhausted) as success.
 func sourceErr(src tracefile.Source) error {
@@ -394,15 +408,9 @@ func runOne(ctx context.Context, workload string, scheme Scheme, rc RunConfig) (
 		}
 		traceSource = "corpus"
 	case tracePath != "":
-		tr, err := loadTrace(tracePath)
-		if err != nil {
+		if src, err = replayTrace(tracePath, workload, built); err != nil {
 			return nil, fmt.Errorf("harness: %s/%s: %w", workload, scheme, err)
 		}
-		if tm := tr.Meta(); tm.Workload != workload || tm.Seed != built.Workload.TraceSeed {
-			return nil, fmt.Errorf("harness: %s/%s: trace %s was recorded from workload %q seed %d, want %q seed %d",
-				workload, scheme, tracePath, tm.Workload, tm.Seed, workload, built.Workload.TraceSeed)
-		}
-		src = tr.Replay()
 		traceSource = "replay"
 	case rc.RecordPath != "":
 		meta := tracefile.Meta{
@@ -508,42 +516,33 @@ func runOne(ctx context.Context, workload string, scheme Scheme, rc RunConfig) (
 		// pool once the results below have been read.
 		defer pf.Release()
 	}
+	res = &Result{TagDrops: ld.TagDrops, TraceSource: traceSource, CorpusHealed: corpusHealed}
 	if rc.Sample.Enabled() {
-		if rec != nil {
-			return nil, fmt.Errorf("harness: %s/%s: sampled runs cannot record traces (skipped sections never reach the recorder correctly)", workload, scheme)
-		}
-		agg, rep, err := runSampled(m, rc)
-		if err != nil {
+		// Recording was refused above: skipped sections never reach a
+		// recorder.
+		if res.Stats, res.Sample, err = runSampled(m, rc); err != nil {
 			return nil, fmt.Errorf("harness: %s/%s sampled: %w", workload, scheme, err)
 		}
-		res = &Result{Stats: agg, Sample: rep, TagDrops: ld.TagDrops, TraceSource: traceSource, CorpusHealed: corpusHealed}
-		if hier != nil {
-			res.Bundle = hier.BundleSummary()
-			res.BundleRejects = hier.Counters.BundleRejects
+	} else {
+		if err := m.Run(rc.WarmInstr); err != nil {
+			return nil, fmt.Errorf("harness: %s/%s warmup: %w", workload, scheme, err)
 		}
-		if gov != nil {
-			res.Governor = gov.Summary()
+		m.ResetStats()
+		if err := m.Run(rc.MeasureInstr); err != nil {
+			return nil, fmt.Errorf("harness: %s/%s measure: %w", workload, scheme, err)
 		}
-		return res, nil
-	}
-	if err := m.Run(rc.WarmInstr); err != nil {
-		return nil, fmt.Errorf("harness: %s/%s warmup: %w", workload, scheme, err)
-	}
-	m.ResetStats()
-	if err := m.Run(rc.MeasureInstr); err != nil {
-		return nil, fmt.Errorf("harness: %s/%s measure: %w", workload, scheme, err)
-	}
-	if rec != nil {
-		// End the trace where the machine's pulled stream ends, plus
-		// the lookahead tail past the measure window so it can later
-		// feed any scheme's FTQ over the same instructions, then seal
-		// index and trailer.
-		if _, err := rec.Finish(m.Unpulled(), tracefile.TailEvents); err != nil {
-			return nil, fmt.Errorf("harness: %s/%s: sealing trace: %w", workload, scheme, err)
+		if rec != nil {
+			// End the trace where the machine's pulled stream ends, plus
+			// the lookahead tail past the measure window so it can later
+			// feed any scheme's FTQ over the same instructions, then seal
+			// index and trailer.
+			if _, err := rec.Finish(m.Unpulled(), tracefile.TailEvents); err != nil {
+				return nil, fmt.Errorf("harness: %s/%s: sealing trace: %w", workload, scheme, err)
+			}
+			finished = true
 		}
-		finished = true
+		res.Stats = m.Stats()
 	}
-	res = &Result{Stats: m.Stats(), TagDrops: ld.TagDrops, TraceSource: traceSource, CorpusHealed: corpusHealed}
 	if hier != nil {
 		res.Bundle = hier.BundleSummary()
 		res.BundleRejects = hier.Counters.BundleRejects
@@ -557,12 +556,7 @@ func runOne(ctx context.Context, workload string, scheme Scheme, rc RunConfig) (
 // Speedup returns scheme IPC relative to the FDIP baseline for the same
 // workload and configuration.
 func Speedup(workload string, scheme Scheme, rc RunConfig) (float64, error) {
-	// The FDIP baseline has no prefetcher: throttling knobs neither
-	// apply nor should fragment its cache entry across degree variants.
-	brc := rc
-	brc.PFDegree = 0
-	brc.Governed = false
-	base, err := Run(workload, SchemeFDIP, brc)
+	base, err := Run(workload, SchemeFDIP, baselineConfig(rc))
 	if err != nil {
 		return 0, err
 	}
@@ -655,9 +649,6 @@ func mean(vs []float64) float64 {
 	}
 	return s / float64(len(vs))
 }
-
-// sortStrings is a tiny alias used by experiments that aggregate maps.
-func sortStrings(s []string) { sort.Strings(s) }
 
 // Digest returns a stable fingerprint of the table's full content (id,
 // title, cells, notes). Experiments are deterministic functions of

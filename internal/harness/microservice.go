@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"hprefetch/internal/microsvc"
 )
@@ -20,11 +21,8 @@ func MicroserviceTable(rc RunConfig) (*Table, error) {
 		// falls back to the full suite.
 		var sel []microsvc.Preset
 		for _, p := range presets {
-			for _, w := range rc.Workloads {
-				if w == p.Name {
-					sel = append(sel, p)
-					break
-				}
+			if slices.Contains(rc.Workloads, p.Name) {
+				sel = append(sel, p)
 			}
 		}
 		if len(sel) > 0 {

@@ -78,13 +78,13 @@ func TestFig1IdenticalFromTrace(t *testing.T) {
 	rc.Workloads = []string{"gin"}
 	dir := recordGoldenTraces(t, rc)
 
-	live, err := Fig1StageFootprints(rc)
+	live, err := fig1StageFootprints(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rcR := rc
 	rcR.TraceDir = dir
-	replayed, err := Fig1StageFootprints(rcR)
+	replayed, err := fig1StageFootprints(rcR)
 	if err != nil {
 		t.Fatal(err)
 	}

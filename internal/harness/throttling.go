@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hprefetch/internal/sim"
+	"hprefetch/internal/workloads"
 )
 
 // throttlingDegrees is the static-degree sweep the adaptive governor is
@@ -18,17 +19,7 @@ func throttlingWorkloads(rc RunConfig) []string {
 	if len(rc.Workloads) > 0 {
 		return rc.Workloads
 	}
-	names := rc.workloadList()
-	out := make([]string, 0, len(names)+1)
-	seen := map[string]bool{}
-	for _, w := range names {
-		out = append(out, w)
-		seen[w] = true
-	}
-	if !seen["chain-burst"] {
-		out = append(out, "chain-burst")
-	}
-	return out
+	return append(workloads.Names(), "chain-burst")
 }
 
 // throttlingRow renders one run of the experiment.
@@ -73,20 +64,12 @@ func ThrottlingTable(rc RunConfig) (*Table, error) {
 		},
 	}
 	for _, w := range throttlingWorkloads(rc) {
-		type staticRun struct {
-			degree int
-			res    *Result
+		statics, best, err := bestStatic(w, rc)
+		if err != nil {
+			return nil, err
 		}
-		var statics []staticRun
-		for _, d := range throttlingDegrees {
-			sub := rc
-			sub.PFDegree = d
-			r, err := Run(w, SchemeGHB, sub)
-			if err != nil {
-				return nil, err
-			}
-			statics = append(statics, staticRun{d, r})
-			t.Rows = append(t.Rows, throttlingRow(w, SchemeGHB, fmt.Sprintf("static-%d", d), r))
+		for i, r := range statics {
+			t.Rows = append(t.Rows, throttlingRow(w, SchemeGHB, fmt.Sprintf("static-%d", throttlingDegrees[i]), r))
 		}
 		gcfg := rc
 		gcfg.Governed = true
@@ -115,25 +98,14 @@ func ThrottlingTable(rc RunConfig) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, throttlingRow(w, SchemeHier, "adaptive", hierAdaptive))
 
-		// Best static GHB degree = lowest fetch stall, ties broken by
-		// fewer useless prefetches; the verdict the acceptance criterion
-		// reads.
-		best := statics[0]
-		for _, s := range statics[1:] {
-			bs, ss := best.res.Stats, s.res.Stats
-			if ss.StallScaled < bs.StallScaled ||
-				(ss.StallScaled == bs.StallScaled && ss.PFUseless < bs.PFUseless) {
-				best = s
-			}
-		}
-		as, bs := adaptive.Stats, best.res.Stats
+		as, bs := adaptive.Stats, statics[best].Stats
 		verdict := "no"
-		if as.PFUseless < bs.PFUseless && as.StallScaled <= bs.StallScaled {
+		if adaptiveWins(as, bs) {
 			verdict = "WIN"
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"%s: GHB adaptive vs best static (degree %d): useless %d vs %d, stall %.2f vs %.2f Mcyc — %s",
-			w, best.degree, as.PFUseless, bs.PFUseless,
+			w, throttlingDegrees[best], as.PFUseless, bs.PFUseless,
 			float64(as.StallScaled)/sim.CycleScale/1e6,
 			float64(bs.StallScaled)/sim.CycleScale/1e6, verdict))
 	}
@@ -150,18 +122,9 @@ func ThrottlingTable(rc RunConfig) (*Table, error) {
 func ThrottlingWins(rc RunConfig) (map[string]bool, error) {
 	wins := map[string]bool{}
 	for _, w := range throttlingWorkloads(rc) {
-		var best *sim.Stats
-		for _, d := range throttlingDegrees {
-			sub := rc
-			sub.PFDegree = d
-			r, err := Run(w, SchemeGHB, sub)
-			if err != nil {
-				return nil, err
-			}
-			if best == nil || r.Stats.StallScaled < best.StallScaled ||
-				(r.Stats.StallScaled == best.StallScaled && r.Stats.PFUseless < best.PFUseless) {
-				best = r.Stats
-			}
+		statics, best, err := bestStatic(w, rc)
+		if err != nil {
+			return nil, err
 		}
 		gcfg := rc
 		gcfg.Governed = true
@@ -169,7 +132,34 @@ func ThrottlingWins(rc RunConfig) (map[string]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		wins[w] = a.Stats.PFUseless < best.PFUseless && a.Stats.StallScaled <= best.StallScaled
+		wins[w] = adaptiveWins(a.Stats, statics[best].Stats)
 	}
 	return wins, nil
+}
+
+// bestStatic runs GHB on workload at every static degree of
+// throttlingDegrees, in order, and picks the best: the lowest fetch
+// stall, ties broken by fewer useless prefetches.
+func bestStatic(workload string, rc RunConfig) (runs []*Result, best int, err error) {
+	for i, d := range throttlingDegrees {
+		sub := rc
+		sub.PFDegree = d
+		r, err := Run(workload, SchemeGHB, sub)
+		if err != nil {
+			return nil, 0, err
+		}
+		runs = append(runs, r)
+		if b := runs[best].Stats; r.Stats.StallScaled < b.StallScaled ||
+			(r.Stats.StallScaled == b.StallScaled && r.Stats.PFUseless < b.PFUseless) {
+			best = i
+		}
+	}
+	return runs, best, nil
+}
+
+// adaptiveWins is the verdict the throttling experiment reads: the
+// governed run issued fewer useless prefetches than the best static
+// degree at equal-or-better fetch stall.
+func adaptiveWins(adaptive, static *sim.Stats) bool {
+	return adaptive.PFUseless < static.PFUseless && adaptive.StallScaled <= static.StallScaled
 }

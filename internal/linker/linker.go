@@ -139,16 +139,20 @@ func layout(p *program.Program, base isa.Addr, shuffle bool) {
 			}
 		}
 	}
+	// Each function's end offset is recorded as it is placed: the text
+	// map a pruned program answers InFunc from.
+	ends := make([]uint32, len(order))
 	addr := base
-	for _, id := range order {
+	for k, id := range order {
 		f := p.Func(id)
 		f.Addr = addr
 		addr += isa.Addr(f.Size)
+		ends[k] = uint32(addr - base)
 		addr = (addr + program.FuncAlign - 1) &^ (program.FuncAlign - 1)
 	}
 	p.TextBase = base
 	p.TextSize = uint64(addr - base)
-	p.SetAddrIndex(order)
+	p.SetAddrIndex(order, ends)
 }
 
 // taggedAddrs computes the instruction addresses to tag: the return

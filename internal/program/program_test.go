@@ -344,16 +344,23 @@ func TestSetAddrIndexMatchesSortedIndex(t *testing.T) {
 	for i := range order {
 		order[i] = isa.FuncID((i * 7919) % len(order))
 	}
-	addr := isa.Addr(0x40_0000)
-	for _, id := range order {
+	base := isa.Addr(0x40_0000)
+	addr := base
+	ends := make([]uint32, len(order))
+	for k, id := range order {
 		p.Funcs[id].Addr = addr
 		addr += isa.Addr(p.Funcs[id].Size)
+		ends[k] = uint32(addr - base)
+		addr = (addr + FuncAlign - 1) &^ (FuncAlign - 1)
 	}
-	p.TextBase, p.TextSize = 0x40_0000, uint64(addr-0x40_0000)
+	p.TextBase, p.TextSize = base, uint64(addr-base)
 	p.BuildAddrIndex()
 	sorted := slices.Clone(p.addrIndex)
 	if !slices.Equal(sorted, order) {
 		t.Fatal("sorted index differs from the layout order")
+	}
+	if !slices.Equal(p.textEnds, ends) {
+		t.Fatal("sorted text map differs from the layout's end offsets")
 	}
 	idOrder := make([]isa.FuncID, p.NumFuncs())
 	for i := range idOrder {
@@ -364,10 +371,10 @@ func TestSetAddrIndexMatchesSortedIndex(t *testing.T) {
 		"ID order":     idOrder,              // not ascending: falls back to the sort
 		"too short":    order[:len(order)-1], // not every function: falls back
 	} {
-		p.addrIndex = nil
-		p.SetAddrIndex(candidate)
-		if !slices.Equal(p.addrIndex, sorted) {
-			t.Errorf("%s: index differs from the sorted one", name)
+		p.addrIndex, p.textEnds = nil, nil
+		p.SetAddrIndex(candidate, slices.Clone(ends))
+		if !slices.Equal(p.addrIndex, sorted) || !slices.Equal(p.textEnds, ends) {
+			t.Errorf("%s: index or text map differs from the sorted one", name)
 		}
 	}
 	if id, ok := p.FuncAt(p.Funcs[order[5]].Addr + 4); !ok || id != order[5] {
@@ -388,13 +395,16 @@ func TestPruneNeedsPackedLayout(t *testing.T) {
 		for i := range order {
 			order[i] = isa.FuncID((i * 7919) % len(order))
 		}
-		addr := isa.Addr(0x40_0000)
-		for _, id := range order {
+		base := isa.Addr(0x40_0000)
+		addr := base
+		ends := make([]uint32, len(order))
+		for k, id := range order {
 			p.Funcs[id].Addr = addr
+			ends[k] = uint32(addr + isa.Addr(p.Funcs[id].Size) - base)
 			addr = (addr + isa.Addr(p.Funcs[id].Size) + align - 1) &^ (align - 1)
 		}
-		p.TextBase, p.TextSize = 0x40_0000, uint64(addr-0x40_0000)
-		p.SetAddrIndex(order)
+		p.TextBase, p.TextSize = base, uint64(addr-base)
+		p.SetAddrIndex(order, ends)
 		n := p.NumFuncs()
 		err = p.Prune()
 		switch {

@@ -2,7 +2,6 @@ package program
 
 import (
 	"fmt"
-	"math"
 
 	"hprefetch/internal/isa"
 )
@@ -54,20 +53,15 @@ func (p *Program) reachLimit() int {
 
 // Prune cuts the program down to the functions up to the highest one a
 // run can reach and their call sites, copied into arrays of exact length
-// so the dropped records' storage can be freed. A linked program first
-// records where every function of its text lies (4 bytes each), so
-// TextFuncs and InFunc keep answering for the whole text, and TextSize
-// is unchanged; FuncAt, StaticText and NumFuncs see only the kept
-// functions. A linked layout must be the linker's: functions packed in
-// address order, each start aligned to FuncAlign. Pruning again keeps
-// the first text map.
+// so the dropped records' storage can be freed. A linked program keeps
+// its text map (4 bytes a function), so TextFuncs and InFunc keep
+// answering for the whole text, and TextSize is unchanged; FuncAt,
+// StaticText and NumFuncs see only the kept functions. A linked layout
+// must be the linker's, which has a text map: functions packed in
+// address order, each start aligned to FuncAlign.
 func (p *Program) Prune() error {
 	if p.Linked() && p.textEnds == nil {
-		ends, err := p.textMap()
-		if err != nil {
-			return err
-		}
-		p.textEnds = ends
+		return fmt.Errorf("program %s: functions are not packed at %d-byte alignment; cannot prune", p.Name, FuncAlign)
 	}
 	n := p.reachLimit()
 	funcs := make([]Function, n)
@@ -88,31 +82,6 @@ func (p *Program) Prune() error {
 	return nil
 }
 
-// textMap returns the end offset from TextBase of every function, in
-// address order, after checking that each function starts where the
-// one before it ends, rounded up to FuncAlign: the rule InFunc uses to
-// recover the starts.
-func (p *Program) textMap() ([]uint32, error) {
-	if len(p.addrIndex) != len(p.Funcs) {
-		return nil, fmt.Errorf("program %s: no address index to prune by", p.Name)
-	}
-	ends := make([]uint32, len(p.addrIndex))
-	var prev uint64
-	for k, id := range p.addrIndex {
-		f := &p.Funcs[id]
-		if f.Addr < p.TextBase || uint64(f.Addr-p.TextBase) != alignFunc(prev) {
-			return nil, fmt.Errorf("program %s: function %d at %v is not packed at %d-byte alignment; cannot prune",
-				p.Name, id, f.Addr, FuncAlign)
-		}
-		prev = uint64(f.Addr-p.TextBase) + uint64(f.Size)
-		if prev > math.MaxUint32 {
-			return nil, fmt.Errorf("program %s: text exceeds 4 GB; cannot prune", p.Name)
-		}
-		ends[k] = uint32(prev)
-	}
-	return ends, nil
-}
-
 // alignFunc rounds a text offset up to FuncAlign.
 func alignFunc(off uint64) uint64 { return (off + FuncAlign - 1) &^ (FuncAlign - 1) }
 
@@ -127,7 +96,9 @@ func (p *Program) TextFuncs() int {
 
 // InFunc reports whether addr lies inside a function of the linked
 // text, including the functions a pruned program no longer keeps; the
-// padding between functions lies inside none.
+// padding between functions lies inside none. It reads the text map,
+// which every layout packed at FuncAlign has, the linker's among them;
+// any other layout answers from FuncAt.
 func (p *Program) InFunc(addr isa.Addr) bool {
 	if p.textEnds == nil {
 		_, ok := p.FuncAt(addr)

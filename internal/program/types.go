@@ -191,9 +191,9 @@ type Program struct {
 	// shuffles layout, so ID order is not address order.
 	addrIndex []isa.FuncID
 
-	// textEnds, set by Prune on a linked program, holds the end offset
-	// from TextBase of every function the text held, in address order
-	// (see InFunc).
+	// textEnds holds the end offset from TextBase of every function the
+	// text holds, in address order, for a layout packed at FuncAlign;
+	// Prune keeps it whole (see InFunc).
 	textEnds []uint32
 
 	// bodies holds the function bodies expanded so far (see Body); nil
@@ -257,28 +257,23 @@ func (p *Program) FuncName(id isa.FuncID) string {
 func (p *Program) Linked() bool { return p.TextSize != 0 }
 
 // SetAddrIndex installs order, every function ID in the order the
-// layout placed them, as the address index used by FuncAt. The linker
-// lays functions out in ascending address order, so its order is the
-// index already; any order that is not strictly ascending by address
-// falls back to BuildAddrIndex. The index retains order, so the caller
-// must not modify it afterwards.
-func (p *Program) SetAddrIndex(order []isa.FuncID) {
-	if len(order) != len(p.Funcs) {
+// layout placed them, as the address index used by FuncAt, and ends,
+// each one's end offset from TextBase, as the text map InFunc reads. The
+// linker packs functions in ascending address order, each start aligned
+// to FuncAlign, so its order and ends are the index and the map already;
+// any other layout falls back to BuildAddrIndex. The program retains
+// both slices, so the caller must not modify them afterwards.
+func (p *Program) SetAddrIndex(order []isa.FuncID, ends []uint32) {
+	if len(order) != len(p.Funcs) || len(ends) != len(order) || !p.packed(order, ends) {
 		p.BuildAddrIndex()
 		return
 	}
-	for i := 1; i < len(order); i++ {
-		if p.Funcs[order[i-1]].Addr >= p.Funcs[order[i]].Addr {
-			p.BuildAddrIndex()
-			return
-		}
-	}
-	p.addrIndex = order
+	p.addrIndex, p.textEnds = order, ends
 }
 
 // BuildAddrIndex (re)builds the address-sorted function index used by
-// FuncAt by sorting every function ID by address. Image decoding calls
-// it for linked images.
+// FuncAt by sorting every function ID by address, and the text map of a
+// layout packed at FuncAlign. Image decoding calls it for linked images.
 func (p *Program) BuildAddrIndex() {
 	p.addrIndex = make([]isa.FuncID, len(p.Funcs))
 	for i := range p.addrIndex {
@@ -287,6 +282,32 @@ func (p *Program) BuildAddrIndex() {
 	sort.Slice(p.addrIndex, func(a, b int) bool {
 		return p.Funcs[p.addrIndex[a]].Addr < p.Funcs[p.addrIndex[b]].Addr
 	})
+	p.textEnds = make([]uint32, len(p.addrIndex))
+	for k, id := range p.addrIndex {
+		f := &p.Funcs[id]
+		p.textEnds[k] = uint32(uint64(f.Addr-p.TextBase) + uint64(f.Size))
+	}
+	if !p.packed(p.addrIndex, p.textEnds) {
+		p.textEnds = nil
+	}
+}
+
+// packed reports whether order and ends describe this program's layout
+// as the linker makes it: each function in order is nonempty, starts
+// where the one before it ends, rounded up to FuncAlign, and ends where
+// ends says, all within 4 GB of TextBase.
+func (p *Program) packed(order []isa.FuncID, ends []uint32) bool {
+	var prev uint64
+	for k, id := range order {
+		f := &p.Funcs[id]
+		start := alignFunc(prev)
+		if f.Size == 0 || f.Addr < p.TextBase || uint64(f.Addr-p.TextBase) != start ||
+			uint64(ends[k]) != start+uint64(f.Size) {
+			return false
+		}
+		prev = uint64(ends[k])
+	}
+	return true
 }
 
 // FuncAt returns the function containing addr, or (NoFunc, false) when

@@ -35,6 +35,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -936,11 +937,4 @@ func DecodeRequest(body io.Reader) (RunRequest, error) {
 }
 
 // experimentKnown reports whether id is a valid experiment identifier.
-func experimentKnown(id string) bool {
-	for _, e := range harness.ExperimentIDs() {
-		if e == id {
-			return true
-		}
-	}
-	return false
-}
+func experimentKnown(id string) bool { return slices.Contains(harness.ExperimentIDs(), id) }
