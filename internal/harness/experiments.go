@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // An experiment is one table the harness regenerates, by id.
@@ -92,21 +93,27 @@ func Experiment(id string, rc RunConfig) (*Table, error) {
 // ids order, each table's rows are produced by its generator's own
 // serial loop, and the shared single-flight Runner guarantees concurrent
 // generators that need the same (workload, scheme) run share one
-// simulation rather than racing. Every id runs; on failure the tables
-// for every id before the first failing one are returned alongside its
-// error.
+// simulation rather than racing. No generator starts after one has
+// failed; the tables for every id before the first failing one are
+// returned alongside its error.
 func Experiments(ids []string, rc RunConfig, parallel int) ([]*Table, error) {
 	tables := make([]*Table, len(ids))
 	errs := make([]error, len(ids))
 	sem := make(chan struct{}, max(parallel, 1))
 	var wg sync.WaitGroup
+	var failed atomic.Bool
 	for i, id := range ids {
 		sem <- struct{}{}
+		if failed.Load() {
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			tables[i], errs[i] = Experiment(id, rc)
+			if tables[i], errs[i] = Experiment(id, rc); errs[i] != nil {
+				failed.Store(true)
+			}
 		}()
 	}
 	wg.Wait()

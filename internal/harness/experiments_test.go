@@ -2,9 +2,12 @@ package harness
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hprefetch/internal/sim"
 )
 
 // experimentDigestsPath pins TestExperimentDigests' table digests.
@@ -128,4 +131,26 @@ func TestPaperNumbersNameColumns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFig15bSpeedupIsRatioOfMeans: Figure 15b's speedup is the ratio of
+// the mean IPCs, not the mean of per-workload ratios. The pinned window
+// cannot tell the two apart, so this checks the fold on two workloads
+// where they differ: FDIP at IPC 1 and 2, Hierarchical at 2 and 2.
+func TestFig15bSpeedupIsRatioOfMeans(t *testing.T) {
+	withIPC := func(ipc float64) *sim.Stats {
+		return &sim.Stats{Instructions: 1200, ScaledCycles: uint64(1200 * sim.CycleScale / ipc)}
+	}
+	runs := []*sim.Stats{withIPC(2), withIPC(2)}
+	bases := []*sim.Stats{withIPC(1), withIPC(2)}
+	for _, m := range fig15b.metrics {
+		if m.name != "speedup" {
+			continue
+		}
+		if got, want := m.over(runs, bases), 2/1.5-1.0; math.Abs(got-want) > 1e-12 {
+			t.Errorf("speedup = %v, want the ratio of mean IPCs %v (the mean of ratios is 0.5)", got, want)
+		}
+		return
+	}
+	t.Fatal("Figure 15b has no speedup column")
 }

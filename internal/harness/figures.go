@@ -106,30 +106,25 @@ var fig2a = &decl{
 	base:  baselineConfig,
 	variants: values(SchemeMANA, nil, []int{1, 2, 3, 4, 6, 8, 12, 16}, "",
 		func(rc *RunConfig, la int) { rc.ManaLookahead = la }),
-	labels:  []string{"look-ahead"},
-	metrics: lookaheadMetrics,
-	notes:   []string{"paper: accuracy declines with look-ahead; coverage saturates past 4 regions"},
+	labels: []string{"look-ahead"},
+	metrics: []metric{
+		{name: "accuracy", of: accuracy, cell: pct},
+		{name: "coverage", of: coverageL1, cell: pct},
+		{name: "speedup", of: speedup, cell: spd},
+		{name: "avg distance", of: avgDistance, cell: f1},
+	},
+	notes: []string{"paper: accuracy declines with look-ahead; coverage saturates past 4 regions"},
 }
 
-// fig2b reproduces Figure 2b for EFetch (callee chain depth).
-var fig2b = &decl{
-	id:    "Figure 2b",
-	title: "EFetch look-ahead (callees) vs accuracy and covered misses",
-	base:  baselineConfig,
-	variants: values(SchemeEFetch, nil, []int{1, 2, 3, 5, 7, 10, 16}, "",
-		func(rc *RunConfig, la int) { rc.EFetchLookahead = la }),
-	labels:  []string{"look-ahead"},
-	metrics: lookaheadMetrics,
-	notes:   []string{"paper: coverage fails to improve past ~7 callees"},
-}
-
-// lookaheadMetrics are Figure 2a and 2b's columns.
-var lookaheadMetrics = []metric{
-	{name: "accuracy", of: accuracy, cell: pct},
-	{name: "coverage", of: coverageL1, cell: pct},
-	{name: "speedup", of: speedup, cell: spd},
-	{name: "avg distance", of: avgDistance, cell: f1},
-}
+// fig2b reproduces Figure 2b: Figure 2a for EFetch (callee chain depth).
+var fig2b = func() *decl {
+	d := *fig2a
+	d.id, d.title = "Figure 2b", "EFetch look-ahead (callees) vs accuracy and covered misses"
+	d.variants = values(SchemeEFetch, nil, []int{1, 2, 3, 5, 7, 10, 16}, "",
+		func(rc *RunConfig, la int) { rc.EFetchLookahead = la })
+	d.notes = []string{"paper: coverage fails to improve past ~7 callees"}
+	return &d
+}()
 
 // fig2cEIPDistance reproduces Figure 2c: EIP accuracy bucketed by
 // prefetch distance.
@@ -433,18 +428,15 @@ var fig9 = &decl{
 }
 
 // fig14 reproduces Figure 14: Figure 9 when FDIP enjoys an infinite BTB.
-var fig14 = &decl{
-	id:       "Figure 14",
-	title:    "IPC speedup over FDIP with an infinite BTB",
-	shape:    grid,
-	setup:    func(rc *RunConfig) { rc.Params.BP.BTBInfinite = true },
-	base:     fig9.base,
-	variants: fig9.variants,
-	lead:     fig9.lead,
-	metrics: []metric{{of: speedup, cell: spd, paper: &paperRow{cell: spd, values: []paperValue{
+var fig14 = func() *decl {
+	d := *fig9
+	d.id, d.title = "Figure 14", "IPC speedup over FDIP with an infinite BTB"
+	d.setup = func(rc *RunConfig) { rc.Params.BP.BTBInfinite = true }
+	d.metrics = []metric{{of: speedup, cell: spd, paper: &paperRow{cell: spd, values: []paperValue{
 		{SchemeEFetch, 0.003}, {SchemeMANA, 0.001}, {SchemeEIP, 0.009}, {SchemeHier, 0.042},
-	}}}},
-}
+	}}}}
+	return &d
+}()
 
 // fig10 reproduces Figure 10: the share of each scheme's prefetches
 // that arrive late (demand hits an in-flight fill).
